@@ -175,6 +175,38 @@ void BM_LatencyLossList(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyLossList);
 
+// ---- Combiner::polish in the estimate regime (classes · nodes³ · 5 > 5e7,
+// i.e. more than 2441 classes at 16 nodes): every candidate move is scored
+// through the incremental connection-rule estimate cache. ----
+
+struct EstimatePolishSetup {
+  core::Scenario scenario;
+  core::Partitioning partitioning;
+  core::Placement start;
+
+  EstimatePolishSetup()
+      : scenario(core::make_scenario(bench::paper_config(16, 3200), 5)),
+        partitioning(core::initial_partition(scenario, {})),
+        start(core::preprovision(scenario, partitioning).placement) {
+    const core::Combiner combiner(scenario, partitioning, {});
+    combiner.descend_to_budget(start);
+  }
+};
+
+void BM_PolishEstimateRegime(benchmark::State& state) {
+  static const EstimatePolishSetup setup;
+  const core::Combiner combiner(setup.scenario, setup.partitioning, {});
+  for (auto _ : state) {
+    core::Placement placement = setup.start;
+    combiner.polish(placement);
+    benchmark::DoNotOptimize(placement);
+  }
+  state.counters["classes"] =
+      static_cast<double>(setup.scenario.classes().num_classes());
+  state.counters["nodes"] = setup.scenario.num_nodes();
+}
+BENCHMARK(BM_PolishEstimateRegime)->Unit(benchmark::kMillisecond);
+
 void BM_SimplexRandomLp(benchmark::State& state) {
   util::Rng rng(7);
   solver::Model model;

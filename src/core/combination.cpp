@@ -68,9 +68,12 @@ double Combiner::cached_objective_with_change(const Placement& trial,
 
 NodeId Combiner::best_connection(int user, MsId m,
                                  const Placement& placement) const {
-  const auto& request = scenario_->request(user);
+  return connection_at(scenario_->request(user).attach_node, m, placement);
+}
+
+NodeId Combiner::connection_at(NodeId attach, MsId m,
+                               const Placement& placement) const {
   const auto& vlinks = scenario_->vlinks();
-  const NodeId attach = request.attach_node;
   const int user_group =
       group_index_[static_cast<std::size_t>(m)][static_cast<std::size_t>(
           attach)];
@@ -97,8 +100,9 @@ NodeId Combiner::best_connection(int user, MsId m,
   return best_in_group != net::kInvalidNode ? best_in_group : best_global;
 }
 
-double Combiner::estimated_completion(const workload::UserRequest& request,
-                                      const Placement& placement) const {
+template <typename Connect>
+double Combiner::estimate_chain(const workload::UserRequest& request,
+                                const Connect& connect) const {
   const auto& vlinks = scenario_->vlinks();
   const auto& network = scenario_->network();
   const auto& catalog = scenario_->catalog();
@@ -108,7 +112,7 @@ double Combiner::estimated_completion(const workload::UserRequest& request,
   double total = 0.0;
   for (std::size_t pos = 0; pos < request.chain.size(); ++pos) {
     const MsId m = request.chain[pos];
-    const NodeId k = best_connection(request.id, m, placement);
+    const NodeId k = connect(m);
     if (k == net::kInvalidNode) return kInf;  // service failure
     if (pos == 0) {
       first = k;
@@ -122,6 +126,13 @@ double Combiner::estimated_completion(const workload::UserRequest& request,
   }
   total += vlinks.transfer_time(request.data_out, prev, first);
   return total;
+}
+
+double Combiner::estimated_completion(const workload::UserRequest& request,
+                                      const Placement& placement) const {
+  return estimate_chain(request, [&](MsId m) {
+    return connection_at(request.attach_node, m, placement);
+  });
 }
 
 double Combiner::estimated_objective(const Placement& placement) const {
@@ -143,6 +154,87 @@ double Combiner::estimated_objective(const Placement& placement) const {
   }
   return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
                             latency);
+}
+
+double Combiner::refresh_estimate_cache(const Placement& placement) const {
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  auto& cache = estimate_;
+  cache.connection.resize(
+      static_cast<std::size_t>(scenario_->num_microservices()) * nodes);
+  for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
+    for (NodeId a = 0; a < scenario_->num_nodes(); ++a) {
+      cache.connection[static_cast<std::size_t>(m) * nodes +
+                       static_cast<std::size_t>(a)] =
+          connection_at(a, m, placement);
+    }
+  }
+  const auto& classes = scenario_->classes().classes();
+  cache.weight.resize(classes.size());
+  cache.completion.resize(classes.size());
+  double latency = 0.0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const auto& request = scenario_->request(classes[c].representative);
+    const auto attach = static_cast<std::size_t>(request.attach_node);
+    const double d = estimate_chain(request, [&](MsId m) {
+      return cache.connection[static_cast<std::size_t>(m) * nodes + attach];
+    });
+    cache.weight[c] = classes[c].weight;
+    cache.completion[c] = d;
+    latency += classes[c].weight * d;
+  }
+  cache.latency_sum = latency;
+  return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
+                            latency);
+}
+
+double Combiner::estimated_objective_with_change(const Placement& trial,
+                                                 MsId changed) const {
+  // Only `changed`'s connection row can differ from the cache, so only the
+  // classes using it whose attach node reconnects need a new estimate; the
+  // total is re-summed class-major from the cached values, which keeps it
+  // bitwise equal to estimated_objective(trial).
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  const auto& cache = estimate_;
+  const NodeId* cached_row =
+      cache.connection.data() + static_cast<std::size_t>(changed) * nodes;
+  std::vector<NodeId> row(nodes);
+  std::vector<char> moved(nodes, 0);
+  bool any_moved = false;
+  for (std::size_t a = 0; a < nodes; ++a) {
+    row[a] = connection_at(static_cast<NodeId>(a), changed, trial);
+    moved[a] = row[a] != cached_row[a];
+    any_moved = any_moved || moved[a] != 0;
+  }
+  const double cost = trial.deployment_cost(scenario_->catalog());
+  if (!any_moved) return evaluator_.combine(cost, cache.latency_sum);
+
+  const auto& users = scenario_->classes().classes_using(changed);
+  const auto& classes = scenario_->classes().classes();
+  std::size_t next = 0;
+  std::int64_t reestimated = 0;
+  double latency = 0.0;
+  for (std::size_t c = 0; c < cache.completion.size(); ++c) {
+    double d = cache.completion[c];
+    if (next < users.size() && users[next] == static_cast<int>(c)) {
+      ++next;
+      const auto& request = scenario_->request(classes[c].representative);
+      const auto attach = static_cast<std::size_t>(request.attach_node);
+      if (moved[attach] != 0) {
+        d = estimate_chain(request, [&](MsId m) {
+          return m == changed
+                     ? row[attach]
+                     : cache.connection[static_cast<std::size_t>(m) * nodes +
+                                        attach];
+        });
+        ++reestimated;
+      }
+    }
+    latency += cache.weight[c] * d;
+  }
+  if (config_.sink != nullptr) {
+    classes_reestimated_.fetch_add(reestimated);
+  }
+  return evaluator_.combine(cost, latency);
 }
 
 double Combiner::psi_for_instance(MsId m, NodeId k,
@@ -349,8 +441,9 @@ bool Combiner::use_exact_eval() const {
   // budgets. The regime keys on the class count in BOTH modes so aggregated
   // and per-user runs always take the same branch — a prerequisite for
   // bit-identical objectives (DESIGN.md §4g). With aggregation the DP count
-  // scales with classes, not users — which is how million-user workloads at
-  // a few thousand classes keep exact scoring.
+  // scales with classes, not users, but the cut is still tight: at 16 nodes
+  // exact scoring ends at 2441 classes, and above it moves are scored by the
+  // incremental connection-rule estimate (DESIGN.md §4c).
   const double classes =
       static_cast<double>(scenario_->classes().num_classes());
   const double nodes = static_cast<double>(scenario_->num_nodes());
@@ -360,6 +453,29 @@ bool Combiner::use_exact_eval() const {
 double Combiner::serial_objective(const Placement& placement) const {
   if (!use_exact_eval()) return estimated_objective(placement);
   return engine_.full_objective(placement);
+}
+
+double Combiner::refresh_scoring(const Placement& placement,
+                                 bool exact) const {
+  if (exact) {
+    engine_.refresh(placement);
+    return engine_.combine(placement.deployment_cost(scenario_->catalog()),
+                           engine_.cached_latency_sum());
+  }
+  if (!config_.aggregate_requests) return estimated_objective(placement);
+  return refresh_estimate_cache(placement);
+}
+
+double Combiner::score_move(const Placement& trial, MsId changed,
+                            NodeId removed, bool exact,
+                            RoutingEngine::ScoreContext& ctx) const {
+  if (exact) {
+    return removed != net::kInvalidNode
+               ? engine_.objective_without(changed, removed, trial, ctx)
+               : engine_.objective_with_change(trial, changed, ctx);
+  }
+  if (!config_.aggregate_requests) return estimated_objective(trial);
+  return estimated_objective_with_change(trial, changed);
 }
 
 std::vector<bool> Combiner::dependency_conflict_filter(
@@ -397,6 +513,7 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
   Placement placement = pre.placement;
   CombinationStats local_stats;
   engine_.reset_counters();
+  classes_reestimated_.store(0);
   const double budget = scenario_->constants().budget;
   const auto& catalog = scenario_->catalog();
   util::WallTimer stage_timer;
@@ -470,23 +587,14 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     // so the scan over every removable instance stays cheap; at very large
     // scales the connection-rule estimate takes over.
     const bool exact = use_exact_eval();
-    double q_before;
-    if (exact) {
-      engine_.refresh(placement);
-      q_before = engine_.combine(
-          placement.deployment_cost(scenario_->catalog()),
-          engine_.cached_latency_sum());
-    } else {
-      q_before = estimated_objective(placement);
-    }
+    const double q_before = refresh_scoring(placement, exact);
     const auto scores = engine_.score_candidates(
         losses.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
           Placement trial = placement;
           trial.remove(losses[i].service, losses[i].node);
-          return exact ? engine_.objective_without(losses[i].service,
-                                                   losses[i].node, trial, ctx)
-                       : estimated_objective(trial);
+          return score_move(trial, losses[i].service, losses[i].node, exact,
+                            ctx);
         });
     for (std::size_t i = 0; i < losses.size(); ++i) {
       losses[i].gradient = scores[i];
@@ -591,6 +699,10 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     sink->add_counter("socl.combination.serial_removals",
                       local_stats.serial_removals);
     sink->add_counter("socl.combination.rollbacks", local_stats.rollbacks);
+    sink->set_gauge("socl.combination.estimate_regime",
+                    use_exact_eval() ? 0.0 : 1.0);
+    sink->add_counter("socl.combination.classes_reestimated",
+                      classes_reestimated_.load());
     sink->observe("socl.combination.parallel_stage_s",
                   local_stats.parallel_stage_seconds);
     sink->observe("socl.combination.serial_stage_s",
@@ -613,22 +725,14 @@ void Combiner::descend_to_budget(Placement& placement) const {
     if (losses.empty()) break;
     // Score every removal; exact incremental scoring when affordable.
     const bool exact = use_exact_eval();
-    double current;
-    if (exact) {
-      engine_.refresh(placement);
-      current = engine_.combine(placement.deployment_cost(catalog),
-                                engine_.cached_latency_sum());
-    } else {
-      current = estimated_objective(placement);
-    }
+    const double current = refresh_scoring(placement, exact);
     const auto scores = engine_.score_candidates(
         losses.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
           Placement trial = placement;
           trial.remove(losses[i].service, losses[i].node);
-          return exact ? engine_.objective_without(losses[i].service,
-                                                   losses[i].node, trial, ctx)
-                       : estimated_objective(trial);
+          return score_move(trial, losses[i].service, losses[i].node, exact,
+                            ctx);
         });
     for (std::size_t i = 0; i < losses.size(); ++i) {
       losses[i].gradient = scores[i];
@@ -721,23 +825,21 @@ void Combiner::polish_descend(Placement& placement) const {
     }
     if (candidates.empty()) break;
 
-    // Score every move: exact incremental scoring when affordable (a move
-    // touches a single microservice, so only its users reroute), otherwise
-    // the connection-rule estimate.
+    // Score every move: exact incremental scoring when affordable, otherwise
+    // the connection-rule estimate. A move touches a single microservice, so
+    // either way only the classes using it are re-scored.
     const bool exact = use_exact_eval();
-    if (exact) engine_.refresh(placement);
+    refresh_scoring(placement, exact);
     const auto estimates = engine_.score_candidates(
         candidates.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
           const Move& move = candidates[i];
           Placement trial = placement;
           apply(trial, move);
-          if (!exact) return estimated_objective(trial);
-          if (move.kind == Move::Kind::kRemove) {
-            return engine_.objective_without(move.service, move.from, trial,
-                                             ctx);
-          }
-          return engine_.objective_with_change(trial, move.service, ctx);
+          return score_move(
+              trial, move.service,
+              move.kind == Move::Kind::kRemove ? move.from : net::kInvalidNode,
+              exact, ctx);
         });
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       candidates[i].estimate = estimates[i];
@@ -754,13 +856,12 @@ void Combiner::polish_descend(Placement& placement) const {
     for (std::size_t c = 0;
          c < candidates.size() && candidates[c].estimate < current - 1e-9;
          ++c) {
+      // The score already is the move's Q'': the engine's incremental exact
+      // objective, or an estimate bitwise equal to serial_objective(trial).
       Placement trial = placement;
       apply(trial, candidates[c]);
-      const double q = exact ? candidates[c].estimate
-                             : serial_objective(trial);
-      if (q >= current - 1e-9) continue;
       if (config_.use_rollback && violates_deadline(trial)) continue;
-      best_q = q;
+      best_q = candidates[c].estimate;
       best_move = &candidates[c];
       best_placement = std::move(trial);
       break;  // candidates are score-ascending: first survivor is best

@@ -14,9 +14,12 @@
 //
 // Internally users connect to instances with the paper's connection-update
 // rule (same group, then maximum channel speed); the cheap ψ latency model
-// drives ζ and Q. The final placement is re-routed exactly by ChainRouter
-// when SoCL assembles its solution.
+// drives ζ and Q. The final placement is re-routed exactly by the routing
+// engine when SoCL (or the online warm start) assembles its solution.
 #pragma once
+
+#include <atomic>
+#include <cstdint>
 
 #include "core/evaluator.h"
 #include "core/preprovision.h"
@@ -128,6 +131,11 @@ class Combiner {
   /// `placement`, preferring the user's group, maximising channel speed.
   /// kInvalidNode when m has no instance at all.
   NodeId best_connection(int user, MsId m, const Placement& placement) const;
+  /// The same rule keyed by attachment node: the user enters only through
+  /// its attach node, so best_connection(u, m, p) ==
+  /// connection_at(attach(u), m, p).
+  NodeId connection_at(NodeId attach, MsId m,
+                       const Placement& placement) const;
 
   /// Cheap completion-time estimate D̃_h under the connection map implied by
   /// `placement` (upper-bounds the exact router's D_h).
@@ -158,6 +166,16 @@ class Combiner {
   /// route actually used that instance (at any chain position).
   double cached_objective_without(MsId m, NodeId k,
                                   const Placement& trial) const;
+
+  /// Estimate-regime incremental scoring (DESIGN.md §4c): caches the
+  /// connection table and per-class estimates under `placement` and returns
+  /// estimated_objective(placement). Subsequent estimated_objective_with_change
+  /// calls re-estimate only the classes a move can touch.
+  double refresh_estimate_cache(const Placement& placement) const;
+  /// estimated_objective(trial), bitwise, assuming `trial` differs from the
+  /// cached placement only in instances of microservice `changed`.
+  double estimated_objective_with_change(const Placement& trial,
+                                         MsId changed) const;
 
   /// The incremental routing engine backing all exact scoring. Exposed so
   /// SoCL::solve can reuse its cache/counters for the final routing pass.
@@ -203,6 +221,22 @@ class Combiner {
                            const ZetaPrep& prep) const;
   bool violates_deadline(const Placement& placement) const;
   bool use_exact_eval() const;
+  /// D̃_h with the connection of each chain microservice supplied by
+  /// `connect(m)`; the one arithmetic path behind every estimate, so cached
+  /// and from-scratch estimates agree bit for bit.
+  template <typename Connect>
+  double estimate_chain(const workload::UserRequest& request,
+                        const Connect& connect) const;
+  /// Refreshes the cache of the scoring regime in force (`exact`: the
+  /// engine's route cache; otherwise the estimate cache, or nothing in the
+  /// per-user mode, which keeps the full O(users) rescan) and returns the
+  /// objective of `placement` under that regime.
+  double refresh_scoring(const Placement& placement, bool exact) const;
+  /// Objective of `trial`, which differs from the last refresh_scoring
+  /// placement only in instances of `changed`; `removed` names the node of a
+  /// single-instance removal (kInvalidNode for any other move).
+  double score_move(const Placement& trial, MsId changed, NodeId removed,
+                    bool exact, RoutingEngine::ScoreContext& ctx) const;
 
   const Scenario* scenario_;
   const Partitioning* partitioning_;
@@ -214,6 +248,23 @@ class Combiner {
   std::vector<std::vector<int>> group_index_;
   /// Microservice pairs adjacent in some user chain (dependency conflicts).
   std::vector<std::vector<bool>> dependency_adjacent_;
+
+  /// Connection-rule estimate cache: the estimate-regime counterpart of the
+  /// engine's route cache. Written only by refresh_estimate_cache (serial),
+  /// read concurrently by score_candidates workers.
+  struct EstimateCache {
+    /// connection[m · nodes + a]: connection_at(a, m, cached placement).
+    std::vector<NodeId> connection;
+    /// Per class (class index): weight and estimated completion D̃.
+    std::vector<double> weight;
+    std::vector<double> completion;
+    /// Σ_c weight_c · D̃_c, totalised class-major.
+    double latency_sum = 0.0;
+  };
+  mutable EstimateCache estimate_;
+  /// Classes re-estimated by estimated_objective_with_change; counted only
+  /// while a sink is attached (`socl.combination.classes_reestimated`).
+  mutable std::atomic<std::int64_t> classes_reestimated_{0};
 };
 
 }  // namespace socl::core

@@ -74,7 +74,7 @@ Solution OnlineSoCL::step(const Scenario& scenario, OnlineStepStats* stats) {
     combiner.polish(warm);
 
     const Evaluator evaluator(scenario);
-    auto assignment = evaluator.router().route_all(warm);
+    auto assignment = combiner.engine().route_all(warm);
     if (assignment) {
       const auto eval = evaluator.evaluate(warm, *assignment);
       if (eval.within_budget && eval.storage_ok) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "obs/recorder.h"
 #include "workload/catalog.h"
 
 namespace socl::core {
@@ -209,6 +212,117 @@ TEST(Combiner, EstimatedObjectiveInfiniteWhenServiceMissing) {
   Combiner combiner(fx.scenario, fx.partitioning, {});
   const Placement empty(fx.scenario);
   EXPECT_TRUE(std::isinf(combiner.estimated_objective(empty)));
+}
+
+// ---- Estimate regime: above classes · nodes³ · 5 = 5e7 (2441 classes at
+// 16 nodes) the combiner scores moves with the connection-rule estimate,
+// through the incremental estimate cache. RegimeMetricsEmittedWithSink
+// confirms the fixture is in that regime. ----
+
+const Fixture& estimate_fixture() {
+  static const Fixture fixture(21, base_config(16, 2600, 9000.0));
+  return fixture;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
+  const auto& fx = estimate_fixture();
+  Combiner combiner(fx.scenario, fx.partitioning, {});
+  // Thin the dense pre-provisioning so adds, relocations, and removals that
+  // orphan a class (even services cut to a single instance) all occur.
+  Placement base = fx.pre.placement;
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    const auto nodes = base.nodes_of(m);
+    const std::size_t stride = m % 2 == 0 ? nodes.size() : 3;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (i % stride != 0) base.remove(m, nodes[i]);
+    }
+  }
+  ASSERT_EQ(bits(combiner.refresh_estimate_cache(base)),
+            bits(combiner.estimated_objective(base)));
+
+  int moves = 0;
+  int orphans = 0;
+  const auto check = [&](const Placement& trial, MsId m) {
+    const double full = combiner.estimated_objective(trial);
+    const double incremental =
+        combiner.estimated_objective_with_change(trial, m);
+    ASSERT_EQ(bits(incremental), bits(full))
+        << "m=" << m << " full=" << full << " incremental=" << incremental;
+    ++moves;
+    if (std::isinf(full)) ++orphans;
+  };
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
+      if (!base.deployed(m, k)) {
+        Placement add = base;
+        add.deploy(m, k);
+        check(add, m);
+        continue;
+      }
+      Placement remove = base;
+      remove.remove(m, k);
+      check(remove, m);
+      for (NodeId q = 0; q < fx.scenario.num_nodes(); ++q) {
+        if (base.deployed(m, q)) continue;
+        Placement relocate = remove;
+        relocate.deploy(m, q);
+        check(relocate, m);
+      }
+    }
+  }
+  EXPECT_GT(moves, 500);
+  EXPECT_GT(orphans, 0) << "no move removed a service's last instance";
+}
+
+TEST(CombinerEstimateCache, DescentsIdenticalAcrossThreadCountsAndRescan) {
+  const auto& fx = estimate_fixture();
+  CombinationConfig serial;
+  serial.threads = 1;
+  CombinationConfig fanned;
+  fanned.threads = 4;
+  Placement a = fx.pre.placement;
+  Placement b = fx.pre.placement;
+  Combiner(fx.scenario, fx.partitioning, serial).descend_to_budget(a);
+  Combiner(fx.scenario, fx.partitioning, fanned).descend_to_budget(b);
+  EXPECT_EQ(a, b);
+  EXPECT_LE(a.deployment_cost(fx.scenario.catalog()),
+            fx.scenario.constants().budget + 1e-9);
+  // The per-user mode scores every move by the full estimated_objective
+  // rescan, so matching it checks the incremental path end to end.
+  CombinationConfig rescan;
+  rescan.aggregate_requests = false;
+  Placement c = a;
+  Combiner(fx.scenario, fx.partitioning, serial).polish(a);
+  Combiner(fx.scenario, fx.partitioning, fanned).polish(b);
+  Combiner(fx.scenario, fx.partitioning, rescan).polish(c);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c);
+}
+
+TEST(CombinerEstimateCache, RegimeMetricsEmittedWithSink) {
+  const auto regime_metrics = [](const Fixture& fx) {
+    obs::Recorder recorder;
+    CombinationConfig config;
+    config.sink = &recorder;
+    Combiner(fx.scenario, fx.partitioning, config).run(fx.pre);
+    const auto snapshot = recorder.metrics().snapshot();
+    const auto* gauge = snapshot.find("socl.combination.estimate_regime");
+    const auto* counter =
+        snapshot.find("socl.combination.classes_reestimated");
+    EXPECT_NE(gauge, nullptr);
+    EXPECT_NE(counter, nullptr);
+    return std::make_pair(gauge != nullptr ? gauge->gauge : -1.0,
+                          counter != nullptr ? counter->counter : -1);
+  };
+  const auto [estimated, reestimated] =
+      regime_metrics(estimate_fixture());
+  EXPECT_EQ(estimated, 1.0);
+  EXPECT_GT(reestimated, 0);
+  const auto [exact, exact_reestimated] = regime_metrics(Fixture(22));
+  EXPECT_EQ(exact, 0.0);
+  EXPECT_EQ(exact_reestimated, 0);
 }
 
 // Minimal two-node scenario whose single request makes services 0 and 1
