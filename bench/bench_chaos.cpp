@@ -7,7 +7,7 @@
 // summary (SLO over degraded slots vs the whole day, users re-homed,
 // replan counts). The cross-check lane is on for every policy: every slot
 // of every chaotic day passes the independent constraint validator and the
-// full-re-route equality check.
+// kernel re-route equality check.
 //
 // `--check` gates the structural claims: (1) the chaotic day is
 // bit-deterministic (run twice, CSV byte-diffed); (2) every slot is

@@ -10,7 +10,6 @@
 
 #include <optional>
 
-#include "sim/slot_sim.h"
 #include "sim/testbed.h"
 #include "util/stats.h"
 

@@ -5,9 +5,9 @@
 // cold-start rate, placement churn, and control-plane latency.
 //
 // The interesting number is the recompute fraction: with request-class
-// aggregation plus the tuple-keyed route cache, a dense population keeps the
-// class set nearly stable across slots even though individual users churn,
-// so most slots carry or incrementally patch the plan instead of re-solving.
+// aggregation, a dense population keeps the class set nearly stable across
+// slots even though individual users churn, so most slots carry the
+// placement instead of re-solving.
 //
 // Part 2 is the sharded head-to-head (ISSUE 9): the same multi-metro day —
 // cross-metro commuters re-homing between shards — served once through the
@@ -15,7 +15,7 @@
 // geo-sharded coordinator (shard::ShardedSoCL::step, per-metro warm rungs at
 // the frozen budget price), with the cross-check lane on. The headline is
 // the mean per-slot control latency ratio; `--check` gates the structural
-// claims instead: zero validator violations and a clean full-re-route match
+// claims instead: zero validator violations and a clean kernel re-route match
 // on every sharded slot, and a 1-metro sharded day whose CSV is
 // byte-identical to the unsharded loop's.
 //

@@ -1,13 +1,13 @@
 // Online serving over a working day: users commute between base stations
 // (mobility churn) and their app mix drifts while the serving loop
 // (src/serve/) drives the whole control plane each 15-minute slot —
-// class-level diffing, incremental re-routing, warm-started re-solves, and
-// the serverless DES with Algorithm 2 pre-warming.
+// class-level diffing, warm-started re-solves, and the serverless DES with
+// Algorithm 2 pre-warming.
 //
 // The point of the example: most slots need *no* re-solve at all. The
-// request-class cache keyed on the workload epoch recognises slots where
-// every demand tuple survived (kCarried), patches only moved classes when a
-// few did (kIncremental), and falls back to the warm-started solver only on
+// class diff against the previous slot's demand tuples recognises slots
+// where every tuple survived (kCarried) or only a few moved (kIncremental)
+// and keeps the placement, falling back to the warm-started solver only on
 // heavy shifts or the periodic schedule (kReplan). Watch the `recomp`
 // column against `classes`.
 #include <iostream>

@@ -27,18 +27,6 @@ ScoreKernel::ScoreKernel(const Scenario& scenario,
     : scenario_(&scenario),
       num_nodes_(static_cast<std::size_t>(scenario.num_nodes())),
       delay_table_budget_(delay_table_budget_bytes) {
-  const auto& catalog = scenario.catalog();
-  const auto& network = scenario.network();
-  const auto services = static_cast<std::size_t>(scenario.num_microservices());
-  compute_.resize(services * num_nodes_);
-  for (std::size_t m = 0; m < services; ++m) {
-    const double gflop =
-        catalog.microservice(static_cast<MsId>(m)).compute_gflop;
-    for (std::size_t k = 0; k < num_nodes_; ++k) {
-      compute_[m * num_nodes_ + k] =
-          gflop / network.node(static_cast<NodeId>(k)).compute_gflops;
-    }
-  }
   rebuild();
 }
 
@@ -49,6 +37,21 @@ bool ScoreKernel::sync() {
 }
 
 void ScoreKernel::rebuild() {
+  // The compute table is rebuilt too: Scenario::set_network bumps the
+  // workload epoch, and a failed node's compute_gflops changes with it.
+  const auto& catalog = scenario_->catalog();
+  const auto& network = scenario_->network();
+  const auto services =
+      static_cast<std::size_t>(scenario_->num_microservices());
+  compute_.resize(services * num_nodes_);
+  for (std::size_t m = 0; m < services; ++m) {
+    const double gflop =
+        catalog.microservice(static_cast<MsId>(m)).compute_gflop;
+    for (std::size_t k = 0; k < num_nodes_; ++k) {
+      compute_[m * num_nodes_ + k] =
+          gflop / network.node(static_cast<NodeId>(k)).compute_gflops;
+    }
+  }
   soa_.build(scenario_->classes(), scenario_->requests());
   const auto count = static_cast<std::size_t>(soa_.num_classes());
   const std::size_t v2 = num_nodes_ * num_nodes_;

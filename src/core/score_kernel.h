@@ -181,8 +181,8 @@ class ScoreKernel {
 
   workload::ClassDemandSoA soa_;
   /// compute_[m * V + k] = compute_gflop(m) / compute_gflops(k) — the exact
-  /// division both DP paths perform, precomputed once (placement- and
-  /// workload-independent).
+  /// division both DP paths perform, precomputed per rebuild (a substrate
+  /// swap moves the workload epoch and may change compute_gflops).
   std::vector<double> compute_;
 
   bool use_tables_ = false;

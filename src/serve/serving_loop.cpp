@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/evaluator.h"
+#include "core/score_kernel.h"
 #include "net/failures.h"
 #include "obs/sink.h"
 #include "serverless/arrivals.h"
@@ -220,12 +221,11 @@ ServingLoop::ServingLoop(ServingConfig config)
       config_.population != static_cast<int>(templates_.size())) {
     scenario_.set_requests(
         workload::replicate_requests(templates_, config_.population));
-    assignment_ = core::Assignment(scenario_);
   }
 
   if (config_.sharded) rebuild_sharded();
 
-  // The mobility model keeps the generator's hotspot bias, as in slot_sim.
+  // The mobility model keeps the request generator's hotspot bias.
   util::Rng weight_rng(config_.seed ^ 0xabcdULL);
   weights_ = workload::attachment_weights(scenario_.network().num_nodes(),
                                           config_.scenario.requests,
@@ -364,46 +364,37 @@ int ServingLoop::advance_workload() {
   return rehomed;
 }
 
-const ServingLoop::CacheEntry* ServingLoop::find_cached(
-    const workload::UserRequest& rep) const {
-  const auto it = prev_index_.find(workload::request_fingerprint(rep));
-  if (it == prev_index_.end()) return nullptr;
+bool ServingLoop::tuple_seen(const workload::UserRequest& rep) const {
+  const auto it = tuple_index_.find(workload::request_fingerprint(rep));
+  if (it == tuple_index_.end()) return false;
   for (const int i : it->second) {
-    const CacheEntry& entry = prev_entries_[static_cast<std::size_t>(i)];
-    if (workload::same_request_class(rep, entry.rep)) return &entry;
-  }
-  return nullptr;
-}
-
-void ServingLoop::rebuild_cache_from_assignment() {
-  const workload::RequestClasses& classes = scenario_.classes();
-  const core::ChainRouter router(scenario_);
-  entries_.clear();
-  cache_index_.clear();
-  entries_.reserve(static_cast<std::size_t>(classes.num_classes()));
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    const workload::RequestClass& cls = classes.cls(c);
-    const workload::UserRequest& rep = scenario_.request(cls.representative);
-    const auto route = assignment_.user_route(cls.representative);
-    CacheEntry entry;
-    entry.rep = rep;
-    entry.route.assign(route.begin(), route.end());
-    entry.latency = router.completion_time(rep, route);
-    cache_index_[cls.fingerprint].push_back(c);
-    entries_.push_back(std::move(entry));
-  }
-}
-
-void ServingLoop::expand_assignment() {
-  const workload::RequestClasses& classes = scenario_.classes();
-  assignment_ = core::Assignment(scenario_);
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    const std::vector<net::NodeId>& route =
-        entries_[static_cast<std::size_t>(c)].route;
-    for (const int member : classes.cls(c).members) {
-      assignment_.set_user_route(member, route);
+    if (workload::same_request_class(
+            rep, tuples_[static_cast<std::size_t>(i)])) {
+      return true;
     }
   }
+  return false;
+}
+
+bool ServingLoop::route_classes() {
+  const workload::RequestClasses& classes = scenario_.classes();
+  const core::ChainRouter router(scenario_);
+  core::RouteScratch scratch;
+  core::RouteResult routed;
+  assignment_ = core::Assignment(scenario_);
+  latency_total_ = 0.0;
+  for (int c = 0; c < classes.num_classes(); ++c) {
+    const workload::RequestClass& cls = classes.cls(c);
+    if (!router.route_into(scenario_.request(cls.representative), placement_,
+                           scratch, routed)) {
+      return false;
+    }
+    latency_total_ += routed.total() * cls.weight;
+    for (const int member : cls.members) {
+      assignment_.set_user_route(member, routed.nodes);
+    }
+  }
+  return true;
 }
 
 SlotReport ServingLoop::step() {
@@ -456,10 +447,10 @@ SlotReport ServingLoop::step() {
   report.demand_fingerprint = demand_fingerprint(scenario_.requests());
   const double total_weight = std::max(1.0, classes.total_weight());
 
-  // A substrate change always forces the replan rung: carried and
-  // incremental routes embed paths computed on the old network, and the
-  // tuple cache cannot see a link that vanished under an unchanged demand
-  // tuple.
+  // A substrate change always forces the replan rung: the carried placement
+  // was chosen for the old network (it may hold instances on a failed
+  // node), and the tuple diff cannot see a link that vanished under an
+  // unchanged demand tuple.
   bool replan = !have_previous_ || substrate_moved;
   bool periodic_replan = false;
   if (config_.full_replan_period > 0 && slot_ > 1 &&
@@ -468,21 +459,15 @@ SlotReport ServingLoop::step() {
     periodic_replan = true;
   }
 
-  // Diff this slot's classes against the carried route cache: a class whose
-  // exact demand tuple is cached needs no routing work at all; everything
-  // else "moved" and is the incremental path's work list.
-  std::vector<const CacheEntry*> hits;
+  // Diff this slot's classes against the previous slot's demand tuples: a
+  // class whose exact tuple was already served is unmoved; the moved weight
+  // drives the replan trigger.
   int moved = 0;
   if (workload_changed && have_previous_) {
-    prev_entries_.swap(entries_);
-    prev_index_.swap(cache_index_);
-    hits.resize(static_cast<std::size_t>(classes.num_classes()));
     double moved_weight = 0.0;
     for (int c = 0; c < classes.num_classes(); ++c) {
       const workload::RequestClass& cls = classes.cls(c);
-      hits[static_cast<std::size_t>(c)] =
-          find_cached(scenario_.request(cls.representative));
-      if (hits[static_cast<std::size_t>(c)] == nullptr) {
+      if (!tuple_seen(scenario_.request(cls.representative))) {
         ++moved;
         moved_weight += cls.weight;
       }
@@ -494,128 +479,66 @@ SlotReport ServingLoop::step() {
   } else if (!have_previous_) {
     report.moved_weight_fraction = 1.0;
   }
-
-  bool done = false;
-  if (!replan && !workload_changed) {
-    // Pure carry: set_requests no-opped (identical tuples), so placement,
-    // per-class routes, and the expanded assignment are all still exact.
-    report.mode = SlotMode::kCarried;
-    report.classes_recomputed = 0;
-    done = true;
+  if (workload_changed) {
+    tuples_.clear();
+    tuple_index_.clear();
+    tuples_.reserve(static_cast<std::size_t>(classes.num_classes()));
+    for (int c = 0; c < classes.num_classes(); ++c) {
+      const workload::RequestClass& cls = classes.cls(c);
+      tuples_.push_back(scenario_.request(cls.representative));
+      tuple_index_[cls.fingerprint].push_back(c);
+    }
   }
 
-  if (!replan && !done) {
-    // Incremental: the placement is carried, so cached routes stay optimal
-    // (the chain DP is a pure function of tuple + placement); only moved
-    // classes run the DP. Any moved class unroutable under the carried
-    // placement means coverage was lost — fall through to a replan.
-    const core::ChainRouter router(scenario_);
-    std::vector<CacheEntry> next;
-    next.reserve(static_cast<std::size_t>(classes.num_classes()));
-    bool routable = true;
-    for (int c = 0; c < classes.num_classes() && routable; ++c) {
-      const workload::UserRequest& rep =
-          scenario_.request(classes.cls(c).representative);
-      const CacheEntry* hit = hits[static_cast<std::size_t>(c)];
-      CacheEntry entry;
-      entry.rep = rep;
-      if (hit != nullptr) {
-        entry.route = hit->route;
-        entry.latency = hit->latency;
-      } else {
-        auto routed = router.route(rep, placement_, scratch_);
-        if (!routed) {
-          routable = false;
-          break;
-        }
-        entry.route = std::move(routed->nodes);
-        entry.latency = routed->total();
-      }
-      next.push_back(std::move(entry));
-    }
-    if (routable) {
-      entries_ = std::move(next);
-      cache_index_.clear();
-      for (int c = 0; c < classes.num_classes(); ++c) {
-        cache_index_[classes.cls(c).fingerprint].push_back(c);
-      }
-      expand_assignment();
+  // Carried / incremental: the placement is carried. With an unchanged
+  // workload epoch the previous slot's routes are still exact; otherwise
+  // every class is re-routed under the carried placement, and a class that
+  // is unroutable there means coverage was lost — fall through to a replan.
+  if (!replan) {
+    if (!workload_changed || route_classes()) {
       report.mode = moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
       report.classes_recomputed = moved;
-      done = true;
     } else {
       replan = true;
     }
   }
 
-  if (!done && sharded_ != nullptr) {
-    // Sharded replan: feed the slot's workload delta to the coordinator —
-    // only the shards whose sub-workload (or membership) moved re-run their
-    // warm rung at the frozen budget price; a global re-price happens only
-    // on budget drift or breach. Periodic replans force every rung so each
-    // shard keeps the legacy staleness-check cadence. Only the merged
-    // *placement* is adopted: the serving cache re-routes every class
-    // globally below, so a route free to cross the backhaul is found when
-    // it wins, and the cross-check lane's full-re-route equality holds by
-    // construction (one metro: per-shard routes equal global routes, so
-    // this reproduces the unsharded day bit for bit).
-    const shard::ShardedSoCL::StepReport shard_step =
-        sharded_->step(scenario_.requests(), periodic_replan);
-    report.shards_resolved = shard_step.shards_resolved;
-    report.repriced = shard_step.repriced;
-    if (!shard_step.solution.assignment) {
-      throw std::runtime_error(
-          "ServingLoop: sharded replan left the slot unroutable (slot " +
-          std::to_string(slot_) + ")");
+  if (replan) {
+    if (sharded_ != nullptr) {
+      // Sharded replan: feed the slot's workload delta to the coordinator —
+      // only the shards whose sub-workload (or membership) moved re-run
+      // their warm rung at the frozen budget price; a global re-price
+      // happens only on budget drift or breach. Periodic replans force
+      // every rung so each shard keeps the legacy staleness-check cadence.
+      // Only the merged *placement* is adopted: routing every class
+      // globally below finds a route across the backhaul when it wins (one
+      // metro: per-shard routes equal global routes, so this reproduces the
+      // unsharded day bit for bit).
+      shard::ShardedSoCL::StepReport shard_step =
+          sharded_->step(scenario_.requests(), periodic_replan);
+      report.shards_resolved = shard_step.shards_resolved;
+      report.repriced = shard_step.repriced;
+      placement_ = std::move(shard_step.solution.placement);
+    } else {
+      placement_ = online_.step(scenario_).placement;
     }
-    placement_ = shard_step.solution.placement;
-    const core::ChainRouter router(scenario_);
-    assignment_ = core::Assignment(scenario_);
-    for (int c = 0; c < classes.num_classes(); ++c) {
-      const workload::UserRequest& rep =
-          scenario_.request(classes.cls(c).representative);
-      auto routed = router.route(rep, placement_, scratch_);
-      if (!routed) {
-        throw std::runtime_error(
-            "ServingLoop: merged sharded placement unroutable (slot " +
-            std::to_string(slot_) + ")");
-      }
-      for (const int member : classes.cls(c).members) {
-        assignment_.set_user_route(member, routed->nodes);
-      }
-    }
-    rebuild_cache_from_assignment();
-    report.mode = SlotMode::kReplan;
-    report.classes_recomputed = classes.num_classes();
-    done = true;
-  }
-
-  if (!done) {
-    core::Solution solution = online_.step(scenario_);
-    if (!solution.assignment) {
+    if (!route_classes()) {
       throw std::runtime_error(
           "ServingLoop: slot unroutable even after a replan (slot " +
           std::to_string(slot_) + ")");
     }
-    placement_ = std::move(solution.placement);
-    assignment_ = std::move(*solution.assignment);
-    rebuild_cache_from_assignment();
     report.mode = SlotMode::kReplan;
     report.classes_recomputed = classes.num_classes();
   }
   report.classes_carried = report.classes - report.classes_recomputed;
 
-  // Slot economics from the class cache (uniform across modes; on replan
-  // slots this reproduces the solver's own evaluation).
+  // Slot economics from the routing pass (uniform across modes; it is
+  // Evaluator::evaluate's class-major sum, so on replan slots it reproduces
+  // the solver's own evaluation).
   report.deployment_cost = placement_.deployment_cost(scenario_.catalog());
-  double total_latency = 0.0;
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    total_latency +=
-        entries_[static_cast<std::size_t>(c)].latency * classes.cls(c).weight;
-  }
-  report.mean_latency_s = total_latency / total_weight;
+  report.mean_latency_s = latency_total_ / total_weight;
   const core::Evaluator evaluator(scenario_);
-  report.objective = evaluator.combine(report.deployment_cost, total_latency);
+  report.objective = evaluator.combine(report.deployment_cost, latency_total_);
 
   core::PlacementDelta delta;
   if (have_previous_) {
@@ -630,23 +553,35 @@ SlotReport ServingLoop::step() {
   report.control_s = control_timer.elapsed_seconds();
 
   if (config_.cross_check) {
-    // Forced-full-resolve lane: a from-scratch route of the whole workload
-    // must agree bit-for-bit with the incrementally maintained assignment,
-    // and the independent validator must find no constraint violation.
-    const core::ChainRouter router(scenario_);
-    const auto full = router.route_all(placement_);
-    bool matches = full.has_value();
-    if (matches) {
-      for (int h = 0; h < scenario_.num_users() && matches; ++h) {
-        const auto a = assignment_.user_route(h);
-        const auto b = full->user_route(h);
-        matches = std::equal(a.begin(), a.end(), b.begin(), b.end());
+    // Cross-check lane: re-route every class through the SoA kernel, an
+    // implementation independent of the live routing pass. Every user's
+    // assignment row must equal its class's kernel route, and the kernel's
+    // latency total must equal the live one bit for bit; the independent
+    // validator must then find no constraint violation. The kernel's delay
+    // tables are off (budget 0): one route per class never amortises them,
+    // and the on-the-fly divisions produce the same bits.
+    const core::ScoreKernel kernel(scenario_, 0);
+    core::ScoreKernel::Arena arena;
+    core::KernelStats stats;
+    core::RouteResult routed;
+    kernel.bind(arena, placement_);
+    double latency_total = 0.0;
+    bool matches = true;
+    for (int c = 0; c < classes.num_classes() && matches; ++c) {
+      const workload::RequestClass& cls = classes.cls(c);
+      matches = kernel.class_route(c, arena, stats, routed);
+      for (std::size_t i = 0; matches && i < cls.members.size(); ++i) {
+        const auto row = assignment_.user_route(cls.members[i]);
+        matches = std::equal(row.begin(), row.end(), routed.nodes.begin(),
+                             routed.nodes.end());
       }
+      latency_total += routed.total() * cls.weight;
     }
+    matches = matches && latency_total == latency_total_;
     report.full_reroute_matches = matches;
     if (!matches) {
       throw std::logic_error(
-          "ServingLoop: incremental assignment diverged from full re-route "
+          "ServingLoop: assignment diverged from the kernel's class routes "
           "(slot " +
           std::to_string(slot_) + ")");
     }

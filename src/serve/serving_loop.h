@@ -1,25 +1,32 @@
 // Online serving loop: the control plane that fuses the solver, the
 // request-class machinery, and the serverless runtime into one "day in the
-// life" at production scale (DESIGN.md §4i).
+// life" at production scale (DESIGN.md §4i). It is the one online control
+// loop: every time-slotted experiment runs through it.
 //
 // Each slot the loop (1) advances the workload — mobility churn, template
 // drift, and a diurnal + bursty Alibaba-style arrival intensity
-// (workload::request_volume_series, the Fig. 4 shape) — then (2) re-solves
-// *incrementally*: the per-class route cache is keyed on the exact Eq. 2
-// demand tuple (fingerprint-bucketed, exact-equality verified), so only the
-// classes whose tuple actually moved are re-routed. Three tiers:
+// (workload::request_volume_series, the Fig. 4 shape) — then (2) chooses the
+// slot's placement and routes every request class once under it with the
+// reference chain DP (core::ChainRouter), expanding each class route to its
+// members. The rungs differ only in how the placement is chosen:
 //
-//   carried      no tuple moved: placement, routes, and assignment carry
-//                over untouched (with the Scenario epoch fix, the slot costs
-//                no reindex and no cache rebuild at all);
-//   incremental  a small weight fraction moved: the placement is carried and
-//                only the moved classes run the chain DP — O(moved classes)
-//                control work, bit-identical to a full re-route because
-//                carried routes were computed under the same placement;
-//   replan       drift crossed the threshold (or the periodic floor): the
-//                warm-start online controller (core::online) repairs and
-//                polishes the carried placement, falling back to a full SoCL
-//                solve as usual.
+//   carried      no demand tuple moved: the placement is carried (when the
+//                workload epoch did not move either, the slot does no
+//                routing at all — the previous pass is still exact);
+//   incremental  a small weight fraction of tuples moved: the placement is
+//                carried; a class unroutable under it means coverage was
+//                lost and the slot falls through to a replan;
+//   replan       drift crossed the threshold (or the periodic floor, or the
+//                substrate changed): the warm-start online controller
+//                (core::online) or the sharded coordinator picks a new
+//                placement.
+//
+// The class diff against the previous slot's demand tuples
+// (fingerprint-bucketed, exact-equality verified) drives the replan trigger
+// and the moved/unmoved counts; it keeps no routes. Re-routing every class
+// is cheap next to ingesting the workload (DESIGN.md §4i has the figures),
+// and because the DP is a pure function of tuple and placement, an unmoved
+// class under a carried placement gets its old route back bit for bit.
 //
 // (3) The slot's placement then serves a DES window (src/serverless/):
 // instances churned by a replan pay real cold starts unless the pre-warm
@@ -34,10 +41,11 @@
 // Determinism: every field of SlotReport except the wall-clock control
 // latency is a pure function of (config, seed) — identical across runs and
 // thread counts (the DES and routing determinism contracts carry through;
-// test_serving pins it). The optional cross-check lane forces a full
-// re-route every slot, asserts it equals the incremental assignment, and
-// runs the independent constraint validator (DESIGN.md §4f) — incremental
-// serving can never drift from what a from-scratch route would do.
+// test_serving pins it). The optional cross-check lane re-routes every class
+// through the SoA scoring kernel (core::ScoreKernel, an implementation
+// independent of the live ChainRouter pass), requires every user's route
+// and the latency total to match it bit for bit, and runs the independent
+// constraint validator (DESIGN.md §4f).
 #pragma once
 
 #include <cstdint>
@@ -64,9 +72,9 @@ namespace socl::serve {
 
 /// How the slot's placement decision was produced.
 enum class SlotMode {
-  kCarried,      ///< no class moved: placement + every route carried over
-  kIncremental,  ///< placement carried, only moved classes re-routed
-  kReplan,       ///< warm-start (or full) solve via core::online
+  kCarried,      ///< no demand tuple moved: placement carried
+  kIncremental,  ///< some tuples moved (below the threshold): placement carried
+  kReplan,       ///< new placement from core::online or the sharded solver
 };
 
 const char* slot_mode_name(SlotMode mode);
@@ -115,7 +123,7 @@ struct ServingConfig {
   /// Warm-start controller parameters for replan slots.
   core::OnlineParams online;
   /// Replan when the moved-class weight fraction exceeds this; below it the
-  /// placement is carried and only moved classes are re-routed.
+  /// placement is carried.
   double replan_weight_threshold = 0.05;
   /// Force a replan every N slots (0 = only on drift / coverage loss).
   int full_replan_period = 8;
@@ -129,9 +137,10 @@ struct ServingConfig {
   /// Pre-warm instances of the next slot's placement from the Alg. 2 quota
   /// snapshot, so predicted rollouts open warm instead of booting cold.
   bool prewarm_ahead = true;
-  /// Forced-full-resolve lane: every slot, re-route the whole workload from
-  /// scratch, require bit-equality with the incremental assignment, and run
-  /// the independent constraint validator. Results land in
+  /// Cross-check lane: every slot, re-route each class through the SoA
+  /// scoring kernel, require every user's route (and the latency total) to
+  /// equal the live pass bit for bit, and run the independent constraint
+  /// validator. Results land in
   /// SlotReport::{full_reroute_matches, validator_violations}.
   bool cross_check = false;
   /// Chaos lane (DESIGN.md §4l): seed-keyed failure/repair/flash-crowd
@@ -157,8 +166,8 @@ struct SlotReport {
   int slot = 0;  ///< 1-based
   SlotMode mode = SlotMode::kReplan;
   int classes = 0;
-  /// Classes whose demand tuple moved and therefore ran the chain DP this
-  /// slot (== `classes` on replan slots, where the solver re-routes all).
+  /// Classes whose demand tuple moved since the previous slot (== `classes`
+  /// on replan slots); the rest are `classes_carried`.
   int classes_recomputed = 0;
   int classes_carried = 0;
   /// Σ weight of moved classes / total weight (the replan trigger input).
@@ -262,7 +271,7 @@ class ServingLoop {
   /// Advances one slot: workload → placement decision → DES window.
   /// Throws std::runtime_error if the slot is unroutable even after a
   /// replan, and std::logic_error when the cross-check lane finds the
-  /// incremental assignment diverging from a full re-route.
+  /// assignment diverging from the kernel's class routes.
   SlotReport step();
 
   /// Runs the remaining slots up to config().slots.
@@ -272,26 +281,25 @@ class ServingLoop {
   const ServingConfig& config() const { return config_; }
   const core::Scenario& scenario() const { return scenario_; }
   const core::Placement& placement() const { return placement_; }
+  /// Every user's route under placement() (valid after the first step()).
+  const core::Assignment& assignment() const { return assignment_; }
   /// metro_of[node]; empty in single-substrate (metros == 0) mode.
   const std::vector<int>& metro_of() const { return metro_of_; }
 
  private:
-  struct CacheEntry {
-    workload::UserRequest rep;  ///< exact tuple identity (not just the hash)
-    std::vector<net::NodeId> route;
-    double latency = 0.0;
-  };
-
   /// Returns the number of users re-homed off dead/isolated stations
   /// (always 0 outside degraded chaos slots).
   int advance_workload();
   /// (Re)creates the sharded coordinator against the current scenario —
   /// used at construction and on every substrate change.
   void rebuild_sharded();
-  /// Fingerprint-bucketed exact lookup into the previous slot's cache.
-  const CacheEntry* find_cached(const workload::UserRequest& rep) const;
-  void rebuild_cache_from_assignment();
-  void expand_assignment();
+  /// True when `rep`'s exact demand tuple was one of the previous slot's
+  /// classes (fingerprint-bucketed, exact-equality verified).
+  bool tuple_seen(const workload::UserRequest& rep) const;
+  /// Routes every class once under placement_ and expands each route to
+  /// the class members in assignment_; sets latency_total_. Returns false
+  /// when some class is unroutable (assignment_ is then incomplete).
+  bool route_classes();
   void emit_metrics(const SlotReport& report, const SlotChaos* chaos_slot);
   double slot_intensity(int slot) const;
 
@@ -316,7 +324,6 @@ class ServingLoop {
   /// full solve with repriced = true — the required re-price on substrate
   /// change.
   std::unique_ptr<shard::ShardedSoCL> sharded_;
-  core::RouteScratch scratch_;
 
   /// Chaos lane (both null when chaos is disabled). `healthy_network_` is
   /// the pristine substrate: full repair restores it by copy rather than
@@ -327,20 +334,19 @@ class ServingLoop {
   std::uint64_t last_substrate_epoch_ = 0;
 
   int slot_ = 0;
-  /// Epoch of the workload the carried routes/assignment were built for; a
-  /// slot whose set_requests() no-ops (same tuples) keeps it and skips even
-  /// the assignment re-expansion.
+  /// Epoch of the workload the assignment was built for; a slot whose
+  /// set_requests() no-ops (same tuples) keeps it and skips routing.
   std::uint64_t last_epoch_ = 0;
   core::Placement placement_;
   core::Placement previous_placement_;
   bool have_previous_ = false;
   core::Assignment assignment_;
-  /// Current slot's per-class entries (class-index order) and the
-  /// fingerprint index over them, matched against next slot's classes.
-  std::vector<CacheEntry> entries_;
-  std::unordered_map<std::uint64_t, std::vector<int>> cache_index_;
-  std::vector<CacheEntry> prev_entries_;
-  std::unordered_map<std::uint64_t, std::vector<int>> prev_index_;
+  /// Σ_c weight_c · D_c of assignment_ (the slot economics' latency term).
+  double latency_total_ = 0.0;
+  /// Demand tuple of every class of the last routed workload (class-index
+  /// order) and the fingerprint index over them — the next slot's diff.
+  std::vector<workload::UserRequest> tuples_;
+  std::unordered_map<std::uint64_t, std::vector<int>> tuple_index_;
   /// Alg. 2 quota snapshot from the previous slot (ms × nodes), the
   /// pre-warm lookahead's prediction of where demand concentrates next.
   std::vector<std::uint8_t> prewarm_snapshot_;

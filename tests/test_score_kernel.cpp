@@ -15,6 +15,7 @@
 
 #include "core/routing_engine.h"
 #include "core/socl.h"
+#include "net/failures.h"
 
 // ---- Global allocation counter (whole-executable operator new override) ----
 // Each test target is its own executable, so replacing the global operator
@@ -193,6 +194,36 @@ TEST(ScoreKernel, SyncAfterChainShrinkMatchesFreshKernel) {
               fresh.class_cost(c, fresh_arena, stats))
         << "class " << c;
   }
+}
+
+// A substrate swap moves the workload epoch, and the re-sync must pick up
+// the new compute rates along with the delay tables: net::apply_failures
+// drops a failed node's compute_gflops to ~0. A class attached to the failed
+// node can only be served by the instances there (the node is isolated), so
+// a kernel still holding the healthy compute rates would report a different
+// compute term than ChainRouter, which reads the live network.
+TEST(ScoreKernel, SyncAfterNodeFailureRefreshesComputeRates) {
+  Fixture fx(34);
+  Placement everywhere(fx.scenario);
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
+      everywhere.deploy(m, k);
+    }
+  }
+  ScoreKernel tabled(fx.scenario);
+  ScoreKernel untabled(fx.scenario, /*delay_table_budget_bytes=*/0);
+
+  net::FailurePlan plan;
+  plan.failed_nodes = {fx.scenario.request(0).attach_node};
+  fx.scenario.set_network(net::apply_failures(fx.scenario.network(), plan));
+  ASSERT_TRUE(tabled.sync());
+  ASSERT_TRUE(untabled.sync());
+
+  ScoreKernel::Arena arena;
+  expect_kernel_matches_legacy(fx.scenario, tabled, everywhere, arena);
+  ScoreKernel::Arena untabled_arena;
+  expect_kernel_matches_legacy(fx.scenario, untabled, everywhere,
+                               untabled_arena);
 }
 
 // Chains that repeat a microservice exercise the memo (same candidate list

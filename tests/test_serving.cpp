@@ -1,19 +1,25 @@
 // Tests for the online serving loop (src/serve/): day completion under
 // mobility + drift, bit-identical determinism across runs and DES thread
 // counts, the three-tier control decision (carried / incremental / replan),
-// the incremental path's "only moved classes recompute" contract, the
-// cross-check lane (full re-route equality + validator cleanliness every
-// slot), and the CSV series.
+// the class diff's moved/unmoved counts, a per-user ChainRouter/Evaluator
+// oracle on a tiny day, the cross-check lane (kernel re-route equality +
+// validator cleanliness every slot), decision-independence of the demand
+// trace, and the CSV series.
 #include "serve/serving_loop.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "core/evaluator.h"
+#include "core/routing.h"
 
 namespace socl::serve {
 namespace {
@@ -107,6 +113,83 @@ TEST(ServingLoop, CrossCheckLaneIsCleanEverySlot) {
   // The day must actually exercise the incremental machinery, otherwise the
   // lane proves nothing.
   EXPECT_GT(report.carried_slots + report.incremental_slots, 0);
+}
+
+TEST(ServingLoop, DemandTraceIsIndependentOfReplanPolicy) {
+  // Mobility, drift and arrivals are drawn from seed-keyed streams that no
+  // control decision touches: a day that replans every slot and one that
+  // carries between periodic replans see the same demand, slot for slot.
+  ServingConfig every_slot = small_config(59);
+  every_slot.slots = 12;
+  every_slot.full_replan_period = 1;
+  ServingConfig periodic = every_slot;
+  periodic.full_replan_period = 8;
+  const ServingReport a = ServingLoop(every_slot).run();
+  const ServingReport b = ServingLoop(periodic).run();
+  EXPECT_EQ(a.replans, 12);
+  EXPECT_LT(b.replans, 12);
+  ASSERT_EQ(a.slots.size(), b.slots.size());
+  for (std::size_t i = 0; i < a.slots.size(); ++i) {
+    EXPECT_NE(a.slots[i].demand_fingerprint, 0u);
+    EXPECT_EQ(a.slots[i].demand_fingerprint, b.slots[i].demand_fingerprint)
+        << "slot " << a.slots[i].slot;
+  }
+}
+
+TEST(ServingLoop, EverySlotMatchesPerUserRouterAndEvaluator) {
+  // Per-user oracle on a tiny scripted day that visits every rung: each
+  // user's served route must equal a from-scratch per-user ChainRouter
+  // route of the slot's placement, and the reported objective must equal
+  // the Evaluator's.
+  ServingConfig config = small_config(61);
+  config.slots = 7;
+  config.mobility.move_prob = 0.0;
+  config.drift_prob = 0.0;
+  config.full_replan_period = 6;  // slots 1 and 7 replan
+  config.cross_check = true;
+  config.workload_hook = [](int slot,
+                            std::vector<workload::UserRequest>& requests) {
+    if (slot == 3) {
+      // Swap the demand of two users with different tuples (ids stay put):
+      // the workload epoch moves but every tuple was already served.
+      for (std::size_t i = 1; i < requests.size(); ++i) {
+        if (!workload::same_request_class(requests[0], requests[i])) {
+          std::swap(requests[0], requests[i]);
+          std::swap(requests[0].id, requests[i].id);
+          break;
+        }
+      }
+    } else if (slot == 4) {
+      requests[0].deadline = requests[0].deadline * 2.0 + 1.0;
+    } else if (slot == 5) {
+      for (std::size_t i = 0; i < requests.size(); i += 4) {
+        requests[i].deadline = requests[i].deadline * 3.0 + 2.0;
+      }
+    }
+  };
+  const SlotMode expected[] = {SlotMode::kReplan,  SlotMode::kCarried,
+                               SlotMode::kCarried, SlotMode::kIncremental,
+                               SlotMode::kReplan,  SlotMode::kCarried,
+                               SlotMode::kReplan};
+  ServingLoop loop(config);
+  for (const SlotMode mode : expected) {
+    const SlotReport report = loop.step();
+    SCOPED_TRACE("slot " + std::to_string(report.slot));
+    EXPECT_EQ(report.mode, mode);
+    const core::Scenario& scenario = loop.scenario();
+    const auto routes = core::ChainRouter(scenario).route_all(loop.placement());
+    ASSERT_TRUE(routes.has_value());
+    for (int h = 0; h < scenario.num_users(); ++h) {
+      const auto served = loop.assignment().user_route(h);
+      const auto oracle = routes->user_route(h);
+      ASSERT_TRUE(std::equal(served.begin(), served.end(), oracle.begin(),
+                             oracle.end()))
+          << "user " << h;
+    }
+    const double objective =
+        core::Evaluator(scenario).evaluate(loop.placement()).objective;
+    EXPECT_NEAR(report.objective, objective, 1e-12 * std::abs(objective));
+  }
 }
 
 TEST(ServingLoop, StaticWorkloadCarriesEverySlot) {
