@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -516,6 +517,18 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
   classes_reestimated_.store(0);
   const double budget = scenario_->constants().budget;
   const auto& catalog = scenario_->catalog();
+
+  // The dense basin shares nothing with the main descent until the final
+  // comparison, so it descends on a helper thread while the stages below
+  // run (not on the engine's pool, whose tasks must not block on each
+  // other). threads == 1 keeps the run single-core: the basin then descends
+  // inline after the polish. The future's destructor joins the helper if
+  // the main descent throws.
+  std::future<DenseBasin> dense_basin;
+  if (config_.use_multi_start && config_.threads != 1) {
+    dense_basin = std::async(std::launch::async,
+                             [this] { return descend_dense_basin(); });
+  }
   util::WallTimer stage_timer;
 
   // ---- Large-scale (parallel) stage: lines 1-5 of Algorithm 3. ----
@@ -662,32 +675,20 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     polish(placement);
   }
   local_stats.polish_seconds = stage_timer.elapsed_seconds();
-  stage_timer.reset();
 
-  // ---- Multi-start: descend the dense basin as well and keep the best. ----
+  // ---- Multi-start: keep the better of the two basins. ----
   if (config_.use_multi_start) {
-    const obs::ScopedSpan span(config_.sink, obs::Phase::kCombination,
-                               "combination.multi_start");
-    Placement dense(*scenario_);
-    for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
-      for (const NodeId k : scenario_->demand_nodes(m)) dense.deploy(m, k);
-    }
-    descend_to_budget(dense);
-    if (config_.use_storage_planning) {
-      plan_storage(*scenario_, dense, config_.sink);
-    }
-    if (config_.use_relocation) polish(dense);
-    const bool dense_ok =
-        dense.deployment_cost(scenario_->catalog()) <=
-            scenario_->constants().budget + 1e-9 &&
-        (!config_.use_rollback || !violates_deadline(dense));
-    if (dense_ok &&
-        serial_objective(dense) < serial_objective(placement) - 1e-9) {
-      placement = std::move(dense);
+    DenseBasin dense =
+        dense_basin.valid() ? dense_basin.get() : descend_dense_basin();
+    engine_.merge_counters(dense.routing);
+    classes_reestimated_.fetch_add(dense.classes_reestimated);
+    local_stats.multi_start_seconds = dense.seconds;
+    if (dense.feasible &&
+        dense.objective < serial_objective(placement) - 1e-9) {
+      placement = std::move(dense.placement);
     }
   }
 
-  local_stats.multi_start_seconds = stage_timer.elapsed_seconds();
   local_stats.routing = engine_.counters();
   if (config_.sink != nullptr) {
     obs::ObsSink* const sink = config_.sink;
@@ -713,6 +714,29 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
   }
   if (stats != nullptr) *stats = local_stats;
   return placement;
+}
+
+Combiner::DenseBasin Combiner::descend_dense_basin() const {
+  const obs::ScopedSpan span(config_.sink, obs::Phase::kCombination,
+                             "combination.multi_start");
+  const util::WallTimer timer;
+  const Combiner basin(*scenario_, *partitioning_, config_);
+  Placement dense(*scenario_);
+  for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
+    for (const NodeId k : scenario_->demand_nodes(m)) dense.deploy(m, k);
+  }
+  basin.descend_to_budget(dense);
+  if (config_.use_storage_planning) {
+    plan_storage(*scenario_, dense, config_.sink);
+  }
+  if (config_.use_relocation) basin.polish(dense);
+  const bool feasible =
+      dense.deployment_cost(scenario_->catalog()) <=
+          scenario_->constants().budget + 1e-9 &&
+      (!config_.use_rollback || !basin.violates_deadline(dense));
+  const double objective = feasible ? basin.serial_objective(dense) : kInf;
+  return {std::move(dense), feasible, objective, timer.elapsed_seconds(),
+          basin.engine_.counters(), basin.classes_reestimated_.load()};
 }
 
 void Combiner::descend_to_budget(Placement& placement) const {

@@ -47,7 +47,11 @@ struct CombinationConfig {
   /// the paper's literal arg-min-ζ rule; a small shortlist recovers most of
   /// GC-OG's move quality at a fraction of its scan cost.
   int shortlist = 4;
-  /// Worker threads for the parallel stage (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency) of the parallel stage and
+  /// the routing engine's scoring pool. Any value but 1 also descends the
+  /// multi-start's dense basin on a helper thread beside the serial stage
+  /// and polish; 1 keeps the whole run on the calling thread. Results and
+  /// work counters are the same either way.
   int threads = 0;
   /// Fan candidate scoring out over the routing engine's pool. Scores are
   /// written by candidate index and each score is a pure function of the
@@ -79,8 +83,9 @@ struct CombinationConfig {
   int relocation_sweeps = 3;
   /// Multi-start: additionally descend from the dense placement (every
   /// demand node hosts its services) with the screened move engine and keep
-  /// the better basin. Costs roughly one extra descent; still far cheaper
-  /// than GC-OG's exhaustive per-move scans.
+  /// the better basin. Costs roughly one extra descent of CPU time, run on
+  /// its own scoring engine and, unless threads == 1, concurrently with the
+  /// main descent; still far cheaper than GC-OG's exhaustive per-move scans.
   bool use_multi_start = true;
   /// Observability sink: stage spans (`combination.*`, `storage_planning`),
   /// ζ-list spans, and the `socl.combination.*` counters are emitted here;
@@ -98,6 +103,8 @@ struct CombinationStats {
   double parallel_stage_seconds = 0.0;
   double serial_stage_seconds = 0.0;
   double polish_seconds = 0.0;
+  /// The dense basin's own descent; it overlaps the serial stage and the
+  /// polish unless CombinationConfig::threads == 1.
   double multi_start_seconds = 0.0;
   /// Routing-engine counters accumulated across the whole run.
   RoutingCounters routing;
@@ -119,7 +126,8 @@ class Combiner {
   Combiner(const Scenario& scenario, const Partitioning& partitioning,
            const CombinationConfig& config);
 
-  /// Runs both stages on a copy of the pre-provisioned placement.
+  /// Runs both stages and the polish on a copy of the pre-provisioned
+  /// placement, and the dense-basin multi-start beside them.
   Placement run(const Preprovisioning& pre, CombinationStats* stats = nullptr);
 
   /// Algorithm 4 on an arbitrary placement: latency losses of every
@@ -198,6 +206,23 @@ class Combiner {
   void descend_to_budget(Placement& placement) const;
 
  private:
+
+  /// The multi-start's dense basin, descended by a second Combiner (own
+  /// routing engine, kernel arenas and estimate cache), so it shares no
+  /// mutable state with the main descent. Every score is a pure function of
+  /// (placement, scenario), so where the basin runs changes wall time only.
+  struct DenseBasin {
+    Placement placement;
+    /// Within budget and, with roll-back on, every deadline; only then is
+    /// `objective` (the serial objective) computed, +inf otherwise.
+    bool feasible;
+    double objective;
+    double seconds;  ///< wall time of the basin's own descent
+    /// The basin engine's work, folded into this combiner's totals by run().
+    RoutingCounters routing;
+    std::int64_t classes_reestimated;
+  };
+  DenseBasin descend_dense_basin() const;
 
   double psi_for_instance(MsId m, NodeId k, const Placement& placement) const;
   /// Per-microservice work shared by every removable instance of m in one

@@ -192,6 +192,9 @@ class RoutingEngine {
 
   const RoutingCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
+  /// Adds `local` into counters() (thread-safe). Also how the combiner
+  /// folds its dense-basin engine's work into the solve's totals.
+  void merge_counters(const RoutingCounters& local);
 
   /// Observability sink for the engine's entry-point spans (refresh /
   /// score_candidates / route_all). Call-granular on purpose: the per-class
@@ -246,7 +249,6 @@ class RoutingEngine {
   /// through a volatile sink so the duplicate work cannot be elided.
   void echo_members(int c, const Placement& placement,
                     ScoreContext& ctx) const;
-  void merge_counters(const RoutingCounters& local);
 
   const Scenario* scenario_;
   ChainRouter router_;

@@ -157,6 +157,16 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
     out[s] = core::SoCL(shard_params).solve(shard.scenario());
     solve_s[s] = timer.elapsed_seconds();
   });
+  // Every per-shard solve of the price search and the quota fallback,
+  // observed on the coordinator thread in shard order (shard_solve_s sees
+  // only the accepted iterate's solves).
+  if (params_.sink != nullptr) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (shards_[s].num_users() == 0) continue;
+      params_.sink->add_counter("socl.shard.iterate_solves", 1);
+      params_.sink->observe("socl.shard.iterate_solve_s", solve_s[s]);
+    }
+  }
 }
 
 ShardedSolution ShardedSoCL::solve() {

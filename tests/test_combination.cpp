@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "obs/recorder.h"
 #include "workload/catalog.h"
@@ -323,6 +327,82 @@ TEST(CombinerEstimateCache, RegimeMetricsEmittedWithSink) {
   const auto [exact, exact_reestimated] = regime_metrics(Fixture(22));
   EXPECT_EQ(exact, 0.0);
   EXPECT_EQ(exact_reestimated, 0);
+}
+
+// ---- Dense-basin multi-start: with threads != 1 the basin descends on a
+// helper thread, on its own scoring engine, while the serial stage and the
+// polish run. The golden work counters were recorded with the basin
+// descending after the polish on the main engine, so a dropped counter fold
+// (or any extra or missing scoring work) fails here. ----
+
+struct BasinGolden {
+  std::int64_t routes_computed;
+  std::int64_t cache_hits;
+  std::int64_t reroutes_avoided;
+  std::int64_t candidates_scored;
+  std::int64_t cache_refreshes;
+  std::int64_t kernel_costs;
+  std::int64_t kernel_lanes;
+  std::int64_t kernel_lookups;  ///< memo hits + misses
+  std::int64_t classes_reestimated;
+};
+
+void expect_basin_matches(const Fixture& fx, const BasinGolden& golden) {
+  std::optional<Placement> reference;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::Recorder recorder;
+    CombinationConfig config;
+    config.threads = threads;
+    config.sink = &recorder;
+    CombinationStats stats;
+    const Placement placement =
+        Combiner(fx.scenario, fx.partitioning, config).run(fx.pre, &stats);
+    if (!reference) reference = placement;
+    EXPECT_EQ(placement, *reference);
+
+    const RoutingCounters& routing = stats.routing;
+    EXPECT_EQ(routing.routes_computed, golden.routes_computed);
+    EXPECT_EQ(routing.cache_hits, golden.cache_hits);
+    EXPECT_EQ(routing.reroutes_avoided, golden.reroutes_avoided);
+    EXPECT_EQ(routing.candidates_scored, golden.candidates_scored);
+    EXPECT_EQ(routing.cache_refreshes, golden.cache_refreshes);
+    EXPECT_EQ(routing.kernel.costs, golden.kernel_costs);
+    EXPECT_EQ(routing.kernel.lanes, golden.kernel_lanes);
+    EXPECT_EQ(routing.kernel.memo_hits + routing.kernel.memo_misses,
+              golden.kernel_lookups);
+    EXPECT_EQ(routing.kernel.rebuilds, 0);
+
+    const auto snapshot = recorder.metrics().snapshot();
+    const auto* reestimated =
+        snapshot.find("socl.combination.classes_reestimated");
+    ASSERT_NE(reestimated, nullptr);
+    EXPECT_EQ(reestimated->counter, golden.classes_reestimated);
+    const auto* multi_start = snapshot.find("socl.combination.multi_start_s");
+    ASSERT_NE(multi_start, nullptr);
+    EXPECT_EQ(multi_start->histogram.count, 1);
+    const auto events = recorder.trace().events();
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [](const obs::TraceEvent& event) {
+                              return std::string_view(event.name) ==
+                                     "combination.multi_start";
+                            }),
+              1);
+  }
+}
+
+TEST(CombinerMultiStart, ConcurrentBasinMatchesParent) {
+  {
+    SCOPED_TRACE("exact regime");
+    expect_basin_matches(
+        Fixture(7, base_config(8, 40, 5500.0)),
+        {77226, 23365, 23365, 5189, 88, 77226, 213321, 344559, 0});
+  }
+  {
+    SCOPED_TRACE("estimate regime");
+    expect_basin_matches(estimate_fixture(),
+                         {0, 0, 0, 28730, 0, 0, 0, 0, 5364102});
+  }
 }
 
 // Minimal two-node scenario whose single request makes services 0 and 1

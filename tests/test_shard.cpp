@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/socl.h"
@@ -155,29 +159,30 @@ TEST(ShardedSoCL, SingleShardBitIdenticalAcrossFiftySeeds) {
   }
 }
 
-/// Two-metro scenario on the tiny catalog; the returned topology's
-/// membership map drives the shard plan.
+/// Multi-metro scenario (tiny catalog unless given); the returned
+/// topology's membership map drives the shard plan.
 struct MetroFixture {
   net::MultiMetroTopology topo;
+  const workload::AppCatalog* catalog;
   std::vector<workload::UserRequest> requests;
 
-  explicit MetroFixture(int metros, int nodes_per_metro, int users,
-                        std::uint64_t seed) {
+  explicit MetroFixture(
+      int metros, int nodes_per_metro, int users, std::uint64_t seed,
+      const workload::AppCatalog& app = workload::tiny_catalog())
+      : catalog(&app) {
     net::MultiMetroConfig config;
     config.metros = metros;
     config.metro.num_nodes = nodes_per_metro;
     topo = net::make_multi_metro(config, seed);
     workload::RequestGenConfig gen;
     gen.num_users = users;
-    requests = workload::generate_requests(topo.network,
-                                           workload::tiny_catalog(), gen, seed);
+    requests = workload::generate_requests(topo.network, *catalog, gen, seed);
   }
 
   core::Scenario scenario(double budget) const {
     core::ProblemConstants constants;
     constants.budget = budget;
-    return core::Scenario(topo.network, workload::tiny_catalog(), requests,
-                          constants);
+    return core::Scenario(topo.network, *catalog, requests, constants);
   }
 };
 
@@ -224,6 +229,19 @@ TEST(ShardedSoCL, MultiMetroSolveRespectsGlobalBudget) {
   EXPECT_EQ(solution.price_trajectory.size(), solution.spend_trajectory.size());
   EXPECT_EQ(static_cast<int>(solution.price_trajectory.size()),
             solution.iterations);
+
+  // The iterate metrics see every per-shard solve of the search (both
+  // shards have users); shard_solve_s sees only the accepted iterate's.
+  ASSERT_FALSE(solution.used_quota_fallback);
+  const auto* iterate_solves = snapshot.find("socl.shard.iterate_solves");
+  const auto* iterate_solve_s = snapshot.find("socl.shard.iterate_solve_s");
+  const auto* shard_solve_s = snapshot.find("socl.shard.shard_solve_s");
+  ASSERT_NE(iterate_solves, nullptr);
+  ASSERT_NE(iterate_solve_s, nullptr);
+  ASSERT_NE(shard_solve_s, nullptr);
+  EXPECT_EQ(iterate_solves->counter, 2 * solution.iterations);
+  EXPECT_EQ(iterate_solve_s->histogram.count, iterate_solves->counter);
+  EXPECT_EQ(shard_solve_s->histogram.count, 2);
 }
 
 // A budget far below the unconstrained demand but above the floors: the
@@ -427,6 +445,57 @@ TEST(Scenario, SetConstantsIsEpochNeutral) {
   EXPECT_EQ(scenario.workload_epoch(), epoch);
   EXPECT_DOUBLE_EQ(scenario.constants().lambda, 0.9);
   EXPECT_DOUBLE_EQ(scenario.constants().budget, 123.0);
+}
+
+std::vector<std::uint64_t> bit_pattern(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+// The shard fan-out, each solve's scoring pool and its dense-basin helper
+// thread interleave differently at every (threads, shard_threads) pair; the
+// price search must not notice.
+TEST(ShardedSoCL, PriceSearchIdenticalAcrossThreadCounts) {
+  const MetroFixture fixture(3, 6, 120, /*seed=*/17,
+                             workload::eshop_catalog());
+  const core::Scenario scenario = fixture.scenario(/*budget=*/11800.0);
+  const ShardPlan plan =
+      plan_from_metros(fixture.topo.metro_of, fixture.topo.metros);
+
+  std::optional<ShardedSolution> reference;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedParams params;
+    params.threads = threads;
+    params.shard_threads = threads;
+    ShardedSoCL solver(scenario, plan, params);
+    ShardedSolution solution = solver.solve();
+    ASSERT_TRUE(solution.assignment.has_value());
+    if (!reference) {
+      // The budget binds: the search must bisect a priced bracket.
+      EXPECT_GT(solution.iterations, 2);
+      EXPECT_GT(solution.price, 0.0);
+      reference = std::move(solution);
+      continue;
+    }
+    EXPECT_EQ(bit_pattern(solution.price_trajectory),
+              bit_pattern(reference->price_trajectory));
+    EXPECT_EQ(bit_pattern(solution.spend_trajectory),
+              bit_pattern(reference->spend_trajectory));
+    EXPECT_EQ(solution.iterations, reference->iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.duality_gap),
+              std::bit_cast<std::uint64_t>(reference->duality_gap));
+    EXPECT_TRUE(solution.placement == reference->placement);
+    for (int h = 0; h < scenario.num_users(); ++h) {
+      const auto a = solution.assignment->user_route(h);
+      const auto b = reference->assignment->user_route(h);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "user " << h;
+    }
+  }
 }
 
 }  // namespace
