@@ -80,8 +80,8 @@ BENCHMARK(BM_ChainRouteScratchReuse);
 
 // ---- Serial-stage candidate scan: exact full rescore vs the incremental
 // routing engine. Both score the identical removal-candidate list with the
-// exact objective; the engine refreshes its per-user route cache once and
-// then reroutes only the users a removal can affect. The routing counters
+// exact objective; the engine refreshes its per-class route cache once and
+// then reroutes only the classes a removal can affect. The routing counters
 // attached to each benchmark show the DP work actually performed. ----
 
 struct ScanSetup {
@@ -118,8 +118,7 @@ void attach_routing_counters(benchmark::State& state,
 
 void BM_CandidateScanFullRescore(benchmark::State& state) {
   const auto& setup = scan_setup();
-  core::RoutingEngine engine(shared_scenario(), /*threads=*/1,
-                             /*parallel=*/false);
+  core::RoutingEngine engine(shared_scenario(), /*threads=*/1);
   for (auto _ : state) {
     double best = std::numeric_limits<double>::infinity();
     for (const auto& loss : setup.losses) {

@@ -3,31 +3,22 @@
 //
 // Sweeps synthetic populations built by replicating a fixed template
 // workload (replicate_requests), so the class count stays bounded while the
-// user count grows 10k → 1M. Every point runs two head-to-heads:
-//
-//   * kernel vs legacy on the DEFAULT pipeline (multi-start + relocation
-//     on): aggregated scoring through the SoA kernel against the same solve
-//     on the legacy ChainRouter path. The default pipeline is the honest
-//     operating point — its dense-placement descent (multi-start) and
-//     polish are where scoring dominates, and ablating them would measure
-//     the kernel mostly on degenerate one-lane DPs;
-//   * aggregated vs per-user, both on a single budget descent (relocation
-//     and multi-start off). Per-user routing of 1M users through the full
-//     default pipeline would take ~50x the aggregated solve, so this
-//     comparison keeps the cheaper ablated config on BOTH sides.
+// user count grows 10k → 1M. Every point runs the DEFAULT pipeline
+// (multi-start + relocation on) twice: class-aggregated scoring through the
+// SoA kernel against the same solve on the legacy ChainRouter path. The
+// default pipeline is the honest operating point — its dense-placement
+// descent (multi-start) and polish are where scoring dominates, and
+// ablating them would measure the kernel mostly on degenerate one-lane DPs.
 //
 // The table reports classes / compression (the socl.scale.* gauges), wall
-// time per mode, the two speedups, and whether objectives are bit-identical
-// within each head-to-head (they must be: both aggregation modes totalise
-// class-major and the kernel evaluates the legacy DP's expressions in the
-// legacy order, so any difference is a bug). `--check` turns the invariants
-// into a nonzero exit status for CI:
-//   * objectives bit-identical within both pairings at every sweep point,
+// time per path, the kernel speedup, and whether objectives are
+// bit-identical (they must be: the kernel evaluates the legacy DP's
+// expressions in the legacy order, so any difference is a bug). `--check`
+// turns the invariants into a nonzero exit status for CI:
+//   * objectives bit-identical at every sweep point,
 //   * compression >= 100x at 100k users on the default eshop catalog,
 //   * kernel >= 1.2x faster than legacy at the largest point (tiny mode)
-//     and >= 3x in the full sweep,
-//   * (full mode only) aggregated solve >= 50x faster than per-user at the
-//     largest point.
+//     and >= 3x in the full sweep.
 #include <cstring>
 #include <vector>
 
@@ -45,23 +36,16 @@ struct SweepRow {
   int users = 0;
   int classes = 0;
   double compression = 0.0;
-  double kernel_s = 0.0;      // default pipeline, aggregated + SoA kernel
-  double legacy_s = 0.0;      // default pipeline, aggregated + legacy router
-  double descent_s = 0.0;     // single descent, aggregated + SoA kernel
-  double per_user_s = 0.0;    // single descent, per-user + SoA kernel
-  double agg_speedup = 0.0;   // per_user_s / descent_s
+  double kernel_s = 0.0;        // default pipeline, SoA kernel
+  double legacy_s = 0.0;        // default pipeline, legacy router
   double kernel_speedup = 0.0;  // legacy_s / kernel_s
   bool identical = false;
 };
 
-core::SoCLParams head_to_head_params(bool aggregate, bool kernel,
-                                     bool full_pipeline, obs::ObsSink* sink) {
+core::SoCLParams head_to_head_params(bool kernel, obs::ObsSink* sink) {
   core::SoCLParams params;
   params.sink = sink;
-  params.combination.aggregate_requests = aggregate;
   params.combination.use_score_kernel = kernel;
-  params.combination.use_relocation = full_pipeline;
-  params.combination.use_multi_start = full_pipeline;
   return params;
 }
 
@@ -79,35 +63,18 @@ SweepRow run_point(int nodes, int num_users, int template_users) {
   obs::Recorder recorder;
   util::WallTimer timer;
   const core::Solution kernel =
-      core::SoCL(head_to_head_params(true, true, true, &recorder))
-          .solve(scenario);
+      core::SoCL(head_to_head_params(true, &recorder)).solve(scenario);
   row.kernel_s = timer.elapsed_seconds();
   timer.reset();
   const core::Solution legacy =
-      core::SoCL(head_to_head_params(true, false, true, nullptr))
-          .solve(scenario);
+      core::SoCL(head_to_head_params(false, nullptr)).solve(scenario);
   row.legacy_s = timer.elapsed_seconds();
-  timer.reset();
-  const core::Solution descent =
-      core::SoCL(head_to_head_params(true, true, false, nullptr))
-          .solve(scenario);
-  row.descent_s = timer.elapsed_seconds();
-  timer.reset();
-  const core::Solution per_user =
-      core::SoCL(head_to_head_params(false, true, false, nullptr))
-          .solve(scenario);
-  row.per_user_s = timer.elapsed_seconds();
-  row.agg_speedup =
-      row.descent_s > 0.0 ? row.per_user_s / row.descent_s : 0.0;
   row.kernel_speedup =
       row.kernel_s > 0.0 ? row.legacy_s / row.kernel_s : 0.0;
-
-  const auto same = [](const core::Solution& a, const core::Solution& b) {
-    return a.evaluation.objective == b.evaluation.objective &&
-           a.evaluation.total_latency == b.evaluation.total_latency &&
-           a.placement == b.placement;
-  };
-  row.identical = same(kernel, legacy) && same(descent, per_user);
+  row.identical =
+      kernel.evaluation.objective == legacy.evaluation.objective &&
+      kernel.evaluation.total_latency == legacy.evaluation.total_latency &&
+      kernel.placement == legacy.placement;
 
   // The socl.scale.* / socl.kernel.* gauges must mirror the run.
   const auto snapshot = recorder.metrics().snapshot();
@@ -133,7 +100,7 @@ int main(int argc, char** argv) {
   }
   bench::banner("bench_scale",
                 "aggregation + SoA kernel: 10k -> 1M users at bounded class "
-                "counts, kernel vs legacy vs per-user head-to-head");
+                "counts, kernel vs legacy head-to-head");
 
   const bool tiny = bench::tiny_mode();
   const int nodes = tiny ? 8 : 12;
@@ -143,16 +110,13 @@ int main(int argc, char** argv) {
            : std::vector<int>{10'000, 100'000, 1'000'000};
 
   util::Table table({"users", "classes", "compression", "kernel_s",
-                     "legacy_s", "descent_s", "per_user_s", "agg_speedup",
-                     "kernel_speedup", "objectives"});
+                     "legacy_s", "kernel_speedup", "objectives"});
   bool all_identical = true;
-  double last_agg_speedup = 0.0;
   double last_kernel_speedup = 0.0;
   for (const int users : sweep) {
     const int templates = std::max(1, std::min(5'000, users / 200));
     const SweepRow row = run_point(nodes, users, templates);
     all_identical = all_identical && row.identical;
-    last_agg_speedup = row.agg_speedup;
     last_kernel_speedup = row.kernel_speedup;
     table.row()
         .cell(std::to_string(row.users))
@@ -160,9 +124,6 @@ int main(int argc, char** argv) {
         .num(row.compression, 1)
         .num(row.kernel_s, 3)
         .num(row.legacy_s, 3)
-        .num(row.descent_s, 3)
-        .num(row.per_user_s, 3)
-        .num(row.agg_speedup, 1)
         .num(row.kernel_speedup, 1)
         .cell(row.identical ? "bit-identical" : "DIVERGED");
   }
@@ -179,7 +140,6 @@ int main(int argc, char** argv) {
   const double floor_ratio = floor_scenario.classes().compression_ratio();
 
   const bool compression_ok = floor_ratio >= 100.0;
-  const bool agg_speedup_ok = tiny || last_agg_speedup >= 50.0;
   // The kernel floor is intentionally below the measured margin
   // (EXPERIMENTS.md records the actual numbers) so CI-runner noise cannot
   // flake the job, while a real regression — lost batching, reintroduced
@@ -188,18 +148,12 @@ int main(int argc, char** argv) {
   const bool kernel_speedup_ok = last_kernel_speedup >= kernel_floor;
   std::cout << "\ncompression at 100k users / 500 templates: " << floor_ratio
             << "x (floor 100x) " << (compression_ok ? "PASS" : "FAIL")
-            << "\nobjectives within both head-to-heads: "
+            << "\nkernel vs legacy objectives: "
             << (all_identical ? "bit-identical PASS" : "DIVERGED FAIL")
-            << "\naggregation speedup at largest point: " << last_agg_speedup
-            << "x "
-            << (tiny ? "(tiny mode, 50x floor not enforced)"
-                     : agg_speedup_ok ? "(>=50x) PASS"
-                                      : "(<50x) FAIL")
             << "\nkernel speedup at largest point: " << last_kernel_speedup
             << "x (floor " << kernel_floor << "x) "
             << (kernel_speedup_ok ? "PASS" : "FAIL") << '\n';
-  if (check && !(compression_ok && all_identical && agg_speedup_ok &&
-                 kernel_speedup_ok)) {
+  if (check && !(compression_ok && all_identical && kernel_speedup_ok)) {
     return 1;
   }
   return 0;

@@ -15,6 +15,13 @@ namespace socl::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The parallel stage runs while cost >= kParallelSlack · K^max; the
+/// remaining budget overshoot is closed by the serial stage, whose exact
+/// per-move scoring picks far better final merges than the batched ζ
+/// heuristic. 1.0 would reproduce the paper's literal loop condition.
+constexpr double kParallelSlack = 1.6;
+/// The polish makes at most 4 · |M| · kRelocationSweeps moves.
+constexpr int kRelocationSweeps = 3;
 
 }  // namespace
 
@@ -24,8 +31,7 @@ Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
       partitioning_(&partitioning),
       config_(config),
       evaluator_(scenario),
-      engine_(scenario, config.threads, config.use_parallel_scoring,
-              config.aggregate_requests, config.use_score_kernel) {
+      engine_(scenario, config.threads, config.use_score_kernel) {
   engine_.set_sink(config_.sink);
   const auto services = static_cast<std::size_t>(scenario.num_microservices());
   const auto nodes = static_cast<std::size_t>(scenario.num_nodes());
@@ -51,20 +57,6 @@ Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
       dependency_adjacent_[a][b] = dependency_adjacent_[b][a] = true;
     }
   }
-}
-
-void Combiner::refresh_route_cache(const Placement& placement) const {
-  engine_.refresh(placement);
-}
-
-double Combiner::cached_objective_without(MsId m, NodeId k,
-                                          const Placement& trial) const {
-  return engine_.objective_without(m, k, trial);
-}
-
-double Combiner::cached_objective_with_change(const Placement& trial,
-                                              MsId changed) const {
-  return engine_.objective_with_change(trial, changed);
 }
 
 NodeId Combiner::best_connection(int user, MsId m,
@@ -140,18 +132,7 @@ double Combiner::estimated_objective(const Placement& placement) const {
   double latency = 0.0;
   for (const auto& cls : scenario_->classes().classes()) {
     const auto& request = scenario_->request(cls.representative);
-    const double d = estimated_completion(request, placement);
-    if (!config_.aggregate_requests) {
-      // Per-user baseline: recompute the estimate for every member. The
-      // volatile store keeps the duplicate work from being folded away; the
-      // representative's value is what enters the total either way, so the
-      // two modes stay bit-identical.
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile double echo = estimated_completion(request, placement);
-        static_cast<void>(echo);
-      }
-    }
-    latency += cls.weight * d;
+    latency += cls.weight * estimated_completion(request, placement);
   }
   return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
                             latency);
@@ -248,14 +229,6 @@ double Combiner::psi_for_instance(MsId m, NodeId k,
   for (int c : scenario_->classes().classes_using(m)) {
     const auto& cls = scenario_->classes().cls(c);
     const auto& request = scenario_->request(cls.representative);
-    if (!config_.aggregate_requests) {
-      // Per-user baseline: every member re-runs the connection scan (the
-      // dominant per-user cost of the ψ pass).
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile NodeId echo = best_connection(request.id, m, placement);
-        static_cast<void>(echo);
-      }
-    }
     if (best_connection(request.id, m, placement) != k) continue;
     const double data = scenario_->request_inbound_data(request, m);
     total += cls.weight *
@@ -292,12 +265,6 @@ double Combiner::zeta_for_instance(MsId m, NodeId k,
   const auto eval_served = [&](std::size_t i) -> bool {
     const auto& cls = classes[static_cast<std::size_t>(prep.class_ids[i])];
     const auto& request = scenario_->request(cls.representative);
-    if (!config_.aggregate_requests) {
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile NodeId echo = best_connection(request.id, m, without);
-        static_cast<void>(echo);
-      }
-    }
     const double data = scenario_->request_inbound_data(request, m);
     before += cls.weight * (vlinks.transfer_time(data, request.attach_node, k) +
                             compute_k);
@@ -314,26 +281,11 @@ double Combiner::zeta_for_instance(MsId m, NodeId k,
                   network.node(q).compute_gflops);
     return true;
   };
-  if (config_.aggregate_requests) {
-    // Only the classes this instance serves contribute; the prep's served
-    // buckets hold exactly those, ascending, so the accumulation order
-    // matches the full filtered scan bit for bit.
-    for (const int i : prep.served[static_cast<std::size_t>(k)]) {
-      if (!eval_served(static_cast<std::size_t>(i))) return kInf;
-    }
-    return after - before;
-  }
-  for (std::size_t i = 0; i < prep.class_ids.size(); ++i) {
-    const auto& cls = classes[static_cast<std::size_t>(prep.class_ids[i])];
-    const auto& request = scenario_->request(cls.representative);
-    // Per-user baseline: every member re-runs the connection scan (the
-    // dominant per-user cost of the ζ sweep).
-    for (std::size_t j = 1; j < cls.members.size(); ++j) {
-      volatile NodeId echo = best_connection(request.id, m, placement);
-      static_cast<void>(echo);
-    }
-    if (prep.connection[i] != k) continue;
-    if (!eval_served(i)) return kInf;
+  // Only the classes this instance serves contribute; the prep's served
+  // buckets hold exactly those, ascending, so the accumulation order
+  // matches the full filtered scan bit for bit.
+  for (const int i : prep.served[static_cast<std::size_t>(k)]) {
+    if (!eval_served(static_cast<std::size_t>(i))) return kInf;
   }
   return after - before;
 }
@@ -357,7 +309,6 @@ std::vector<LatencyLoss> Combiner::latency_losses(
     ZetaPrep prep;
     const auto& users = scenario_->classes().classes_using(m);
     prep.class_ids.reserve(users.size());
-    prep.connection.reserve(users.size());
     prep.served.resize(static_cast<std::size_t>(scenario_->num_nodes()));
     std::vector<NodeId> conn_of(
         static_cast<std::size_t>(scenario_->num_nodes()), net::kInvalidNode);
@@ -376,7 +327,6 @@ std::vector<LatencyLoss> Combiner::latency_losses(
             static_cast<int>(prep.class_ids.size()));
       }
       prep.class_ids.push_back(c);
-      prep.connection.push_back(conn);
     }
     preps.push_back(std::move(prep));
     for (NodeId k = 0; k < scenario_->num_nodes(); ++k) {
@@ -414,7 +364,7 @@ std::vector<LatencyLoss> Combiner::latency_losses(
 
 bool Combiner::violates_deadline(const Placement& placement) const {
   // Members of a request class share chain, demand, and deadline, so the
-  // representative's verdict covers the whole class in both modes.
+  // representative's verdict covers the whole class.
   if (use_exact_eval()) {
     // Route the verdict through the engine so it shares the kernel scoring
     // hot path (and its scratch slots — the old local RouteScratch here
@@ -423,28 +373,20 @@ bool Combiner::violates_deadline(const Placement& placement) const {
   }
   for (const auto& cls : scenario_->classes().classes()) {
     const auto& request = scenario_->request(cls.representative);
-    const double d = estimated_completion(request, placement);
-    if (!config_.aggregate_requests) {
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile double echo = estimated_completion(request, placement);
-        static_cast<void>(echo);
-      }
+    if (estimated_completion(request, placement) > request.deadline + 1e-9) {
+      return true;
     }
-    if (d > request.deadline + 1e-9) return true;
   }
   return false;
 }
 
 bool Combiner::use_exact_eval() const {
-  // Exact per-move routing costs ~C·V³·len̄ DP operations per evaluation
-  // (the per-user path additionally pays its O(U) member echo inside the
-  // same regime); keep it while that stays comfortably inside interactive
-  // budgets. The regime keys on the class count in BOTH modes so aggregated
-  // and per-user runs always take the same branch — a prerequisite for
-  // bit-identical objectives (DESIGN.md §4g). With aggregation the DP count
-  // scales with classes, not users, but the cut is still tight: at 16 nodes
-  // exact scoring ends at 2441 classes, and above it moves are scored by the
-  // incremental connection-rule estimate (DESIGN.md §4c).
+  // Exact per-move routing costs ~C·V³·len̄ DP operations per evaluation;
+  // keep it while that stays comfortably inside interactive budgets. The DP
+  // count scales with classes, not users (DESIGN.md §4g), but the cut is
+  // still tight: at 16 nodes exact scoring ends at 2441 classes, and above
+  // it moves are scored by the incremental connection-rule estimate
+  // (DESIGN.md §4c).
   const double classes =
       static_cast<double>(scenario_->classes().num_classes());
   const double nodes = static_cast<double>(scenario_->num_nodes());
@@ -463,7 +405,6 @@ double Combiner::refresh_scoring(const Placement& placement,
     return engine_.combine(placement.deployment_cost(scenario_->catalog()),
                            engine_.cached_latency_sum());
   }
-  if (!config_.aggregate_requests) return estimated_objective(placement);
   return refresh_estimate_cache(placement);
 }
 
@@ -475,7 +416,6 @@ double Combiner::score_move(const Placement& trial, MsId changed,
                ? engine_.objective_without(changed, removed, trial, ctx)
                : engine_.objective_with_change(trial, changed, ctx);
   }
-  if (!config_.aggregate_requests) return estimated_objective(trial);
   return estimated_objective_with_change(trial, changed);
 }
 
@@ -536,7 +476,7 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     const obs::ScopedSpan span(config_.sink, obs::Phase::kCombination,
                                "combination.parallel_stage");
     const double parallel_target =
-        budget * std::max(1.0, config_.parallel_slack);
+        budget * kParallelSlack;
     while (placement.deployment_cost(catalog) >= parallel_target) {
       auto losses = latency_losses(placement);
       if (losses.empty()) break;  // nothing combinable; budget unreachable
@@ -819,8 +759,7 @@ void Combiner::polish_descend(Placement& placement) const {
                placement.storage_used(catalog, q) + 1e-9;
   };
 
-  const int max_moves = 4 * scenario_->num_microservices() *
-                        std::max(1, config_.relocation_sweeps);
+  const int max_moves = 4 * scenario_->num_microservices() * kRelocationSweeps;
   double current = serial_objective(placement);
   for (int moves_made = 0; moves_made < max_moves; ++moves_made) {
     // Enumerate feasible single moves and screen with the cheap estimate.

@@ -35,36 +35,16 @@ namespace socl::core {
 struct CombinationConfig {
   /// Fraction of the latency-loss list combined per parallel round (ω).
   double omega = 0.2;
-  /// The parallel stage runs while cost >= parallel_slack · K^max; the
-  /// remaining budget overshoot is closed by the serial stage, whose exact
-  /// per-move scoring picks far better final merges than the batched ζ
-  /// heuristic. 1.0 reproduces the paper's literal loop condition.
-  double parallel_slack = 1.6;
   /// Disturbance factor Θ: tolerated objective rise per serial move.
   double theta = 25.0;
-  /// Serial-stage shortlist: the ζ-ascending prefix whose members are
-  /// scored with the real objective before committing a move. Width 1 is
-  /// the paper's literal arg-min-ζ rule; a small shortlist recovers most of
-  /// GC-OG's move quality at a fraction of its scan cost.
-  int shortlist = 4;
   /// Worker threads (0 = hardware concurrency) of the parallel stage and
-  /// the routing engine's scoring pool. Any value but 1 also descends the
-  /// multi-start's dense basin on a helper thread beside the serial stage
-  /// and polish; 1 keeps the whole run on the calling thread. Results and
-  /// work counters are the same either way.
+  /// the routing engine's scoring pool. Any value but 1 also fans candidate
+  /// scoring out over that pool and descends the multi-start's dense basin
+  /// on a helper thread beside the serial stage and polish; 1 keeps the
+  /// whole run on the calling thread. Results and work counters are the
+  /// same either way (the determinism tests in test_routing_engine and
+  /// test_combination enforce it).
   int threads = 0;
-  /// Fan candidate scoring out over the routing engine's pool. Scores are
-  /// written by candidate index and each score is a pure function of the
-  /// route cache, so disabling this changes wall time, never results (the
-  /// determinism test in test_routing_engine enforces it).
-  bool use_parallel_scoring = true;
-  /// Request-class aggregation (DESIGN.md §4g): score one representative
-  /// per class and fold weight · value into every total, turning O(users)
-  /// inner loops into O(classes). false routes/estimates every member
-  /// individually — the measured per-user baseline of bench_scale. Both
-  /// modes totalise class-major, so objectives are bit-identical (enforced
-  /// by the differential harness's aggregation lane).
-  bool aggregate_requests = true;
   /// Score classes through the SoA kernel (DESIGN.md §4h): a lane-batched
   /// chain DP over contiguous buffers that evaluates all first-layer
   /// conditionings at once. false keeps the legacy per-conditioning
@@ -80,7 +60,6 @@ struct CombinationConfig {
   /// implementation extension documented in DESIGN.md; ablated in the
   /// bench_ablation harness.
   bool use_relocation = true;
-  int relocation_sweeps = 3;
   /// Multi-start: additionally descend from the dense placement (every
   /// demand node hosts its services) with the screened move engine and keep
   /// the better basin. Costs roughly one extra descent of CPU time, run on
@@ -158,23 +137,6 @@ class Combiner {
   /// connection-rule estimate. Exposed for tests.
   double serial_objective(const Placement& placement) const;
 
-  /// Exact incremental scoring: refreshes the routing engine's per-user
-  /// latency cache for `placement`; subsequent scored-move calls reroute
-  /// only the users whose chains contain the changed microservice, which
-  /// makes exhaustive exact candidate scans ~|M| times cheaper than full
-  /// re-evaluation. Thin forwarders to the engine, kept for tests and the
-  /// online solver.
-  void refresh_route_cache(const Placement& placement) const;
-  /// Exact objective of `trial`, assuming it differs from the cached
-  /// placement only in instances of microservice `changed`.
-  double cached_objective_with_change(const Placement& trial,
-                                      MsId changed) const;
-  /// Exact objective of `trial`, assuming it equals the cached placement
-  /// minus the single instance (m, k): reroutes only users whose cached
-  /// route actually used that instance (at any chain position).
-  double cached_objective_without(MsId m, NodeId k,
-                                  const Placement& trial) const;
-
   /// Estimate-regime incremental scoring (DESIGN.md §4c): caches the
   /// connection table and per-class estimates under `placement` and returns
   /// estimated_objective(placement). Subsequent estimated_objective_with_change
@@ -185,8 +147,10 @@ class Combiner {
   double estimated_objective_with_change(const Placement& trial,
                                          MsId changed) const;
 
-  /// The incremental routing engine backing all exact scoring. Exposed so
-  /// SoCL::solve can reuse its cache/counters for the final routing pass.
+  /// The incremental routing engine backing all exact scoring: its per-class
+  /// route cache reroutes only the classes a move can touch (DESIGN.md §4c).
+  /// Exposed so SoCL::solve can reuse its cache/counters for the final
+  /// routing pass.
   RoutingEngine& engine() const { return engine_; }
 
   /// Algorithm 3 line 4: among selected instances of chain-adjacent
@@ -227,19 +191,16 @@ class Combiner {
   double psi_for_instance(MsId m, NodeId k, const Placement& placement) const;
   /// Per-microservice work shared by every removable instance of m in one
   /// latency_losses pass: the classes whose chains use m (ascending class
-  /// id) and each one's connection under the scored placement. Hoisting
+  /// id), bucketed by their connection under the scored placement. Hoisting
   /// this out of zeta_for_instance turns Algorithm 4's ζ sweep from
   /// O(instances · classes) connection scans into O(classes) per
   /// microservice, with bit-identical sums (same contributing classes,
   /// same order).
   struct ZetaPrep {
     std::vector<int> class_ids;
-    std::vector<NodeId> connection;
     /// served[k]: indices into class_ids whose connection is node k
     /// (ascending, so per-instance sums keep the class-major order). Lets
-    /// the aggregated ζ evaluation touch only the classes the instance
-    /// actually serves; the per-user baseline still walks every class using
-    /// m, whose member echo scans are its honest dominant cost.
+    /// the ζ evaluation touch only the classes the instance actually serves.
     std::vector<std::vector<int>> served;
   };
   double zeta_for_instance(MsId m, NodeId k, const Placement& placement,
@@ -253,8 +214,7 @@ class Combiner {
   double estimate_chain(const workload::UserRequest& request,
                         const Connect& connect) const;
   /// Refreshes the cache of the scoring regime in force (`exact`: the
-  /// engine's route cache; otherwise the estimate cache, or nothing in the
-  /// per-user mode, which keeps the full O(users) rescan) and returns the
+  /// engine's route cache; otherwise the estimate cache) and returns the
   /// objective of `placement` under that regime.
   double refresh_scoring(const Placement& placement, bool exact) const;
   /// Objective of `trial`, which differs from the last refresh_scoring

@@ -8,10 +8,8 @@
 //     chain, demand profile) are indistinguishable to the router, so the
 //     engine routes one representative per class and folds weight · value
 //     into every total — O(classes) DP runs instead of O(users). The
-//     per-user mode (aggregate = false) runs the DP for every member and is
-//     kept for A/B measurement; both modes totalise class-major, so their
-//     objectives are bit-identical by construction (the differential
-//     harness's aggregation lane enforces this);
+//     differential harness's aggregation lane checks the collapse against a
+//     per-member ChainRouter oracle;
 //   - the SoA scoring kernel (DESIGN.md §4h): classes are scored through
 //     core/score_kernel.h by default — a lane-batched DP over contiguous
 //     float64 buffers that evaluates all first-layer conditionings at once,
@@ -67,13 +65,10 @@ namespace socl::core {
 /// summed across workers (order-independent), so parallel runs report the
 /// same totals as serial ones.
 struct RoutingCounters {
-  /// Full chain-DP evaluations (route / route_cost / kernel batch runs).
-  /// With aggregation one run covers a whole request class; in per-user mode
-  /// every member runs its own DP, which is exactly the cost gap bench_scale
-  /// measures.
+  /// Full chain-DP evaluations (route / route_cost / kernel batch runs);
+  /// one run covers a whole request class.
   std::int64_t routes_computed = 0;
-  /// Latencies served straight from the epoch cache while scoring (class
-  /// entries when aggregating, users otherwise).
+  /// Class latencies served straight from the epoch cache while scoring.
   std::int64_t cache_hits = 0;
   /// Cache entries skipped during removal scoring because their cached
   /// route never touched the removed instance (the cache's headline saving).
@@ -92,14 +87,11 @@ struct RoutingCounters {
 
 class RoutingEngine {
  public:
-  /// `threads` sizes the shared pool (0 = hardware concurrency);
-  /// `parallel` == false forces every fan-out onto the calling thread;
-  /// `aggregate` == false disables the request-class collapse and routes
-  /// every user individually (the measured per-user baseline);
+  /// `threads` sizes the shared pool (0 = hardware concurrency; 1 keeps
+  /// every fan-out on the calling thread);
   /// `use_kernel` == false scores through the legacy ChainRouter DP instead
   /// of the SoA kernel (results are bit-identical either way).
   explicit RoutingEngine(const Scenario& scenario, int threads = 0,
-                         bool parallel = true, bool aggregate = true,
                          bool use_kernel = true);
 
   // ---- Placement-epoch route cache ----
@@ -125,7 +117,6 @@ class RoutingEngine {
         scenario_->classes().class_of(user))];
   }
 
-  bool aggregate_enabled() const { return aggregate_; }
   bool kernel_enabled() const { return kernel_ != nullptr; }
   /// The SoA scoring kernel, or nullptr in legacy mode.
   const ScoreKernel* kernel() const { return kernel_.get(); }
@@ -166,18 +157,17 @@ class RoutingEngine {
   // ---- Candidate fan-out ----
 
   /// Scores candidates [0, n) with `score(i, ctx)` and returns the scores by
-  /// index. Runs on the shared pool when parallel scoring is enabled and n
-  /// is large enough to amortise the dispatch; otherwise inline. The
-  /// callback must be pure (read-only on shared state, writes only through
-  /// ctx), which makes the parallel result bit-identical to the serial one.
+  /// index. Runs on the shared pool when threads != 1 and n is large enough
+  /// to amortise the dispatch; otherwise inline. The callback must be pure
+  /// (read-only on shared state, writes only through ctx), which makes the
+  /// parallel result bit-identical to the serial one.
   std::vector<double> score_candidates(
       std::size_t n,
       const std::function<double(std::size_t, ScoreContext&)>& score);
 
   /// Routes every user with scratch reuse; nullopt if any user is
-  /// unroutable. With aggregation each class representative is routed once
-  /// and the route is expanded to every member, so the returned Assignment
-  /// is identical to the per-user pass. Counted in the engine's counters.
+  /// unroutable. Each class representative is routed once and the route is
+  /// expanded to every member. Counted in the engine's counters.
   std::optional<Assignment> route_all(const Placement& placement);
 
   /// λ·cost + (1-λ)·w·latency — the objective combiner of Eq. (3)/(8).
@@ -188,7 +178,6 @@ class RoutingEngine {
   /// Also used by the combiner's latency-loss stage so pools are not
   /// re-spawned every round.
   util::ThreadPool& pool();
-  bool parallel_enabled() const { return parallel_; }
 
   const RoutingCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
@@ -244,11 +233,6 @@ class RoutingEngine {
   /// Optimal route/breakdown of class c — kernel or legacy dispatch.
   bool class_route(int c, const Placement& placement, ScoreContext& ctx,
                    RouteResult& out) const;
-  /// Re-runs the representative's DP for every non-representative member —
-  /// the measured cost of the per-user baseline. Results are discarded
-  /// through a volatile sink so the duplicate work cannot be elided.
-  void echo_members(int c, const Placement& placement,
-                    ScoreContext& ctx) const;
 
   const Scenario* scenario_;
   ChainRouter router_;
@@ -256,8 +240,6 @@ class RoutingEngine {
   /// kernel build cost).
   std::unique_ptr<ScoreKernel> kernel_;
   int threads_;
-  bool parallel_;
-  bool aggregate_;
   std::unique_ptr<util::ThreadPool> pool_;
 
   /// classes_of_[m]: indices of request classes whose chain contains m (each

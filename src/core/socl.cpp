@@ -106,8 +106,6 @@ Solution SoCL::solve(const Scenario& scenario) const {
     sink->set_gauge("socl.scale.classes",
                     static_cast<double>(classes.num_classes()));
     sink->set_gauge("socl.scale.compression", classes.compression_ratio());
-    sink->set_gauge("socl.scale.aggregated",
-                    combiner.engine().aggregate_enabled() ? 1.0 : 0.0);
   }
   if (params_.post_solve_hook) {
     params_.post_solve_hook(scenario, solution, sink);

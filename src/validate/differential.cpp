@@ -215,11 +215,12 @@ CaseResult run_differential_case(std::uint64_t seed,
   }
 
   // --- Aggregation lane (DESIGN.md §4g): replicate the workload so every
-  // request class has several members, then solve once with request-class
-  // aggregation and once on the per-user path. The two modes totalise
-  // class-major and route identical representatives, so placement,
-  // objective, assignment, and the validator's violation set must all be
-  // IDENTICAL — bit-for-bit, not within tolerance.
+  // request class has several members and solve it; the solve scores and
+  // routes one representative per class. Then route every member on its
+  // OWN request through a fresh per-user ChainRouter under the solved
+  // placement: each node sequence must equal the solve's assignment
+  // exactly, so a class key that merged two requests routing differently
+  // fails here. The validator audits the expanded assignment user by user.
   {
     util::Rng lane_rng(seed ^ 0xa66c1a55e5ULL);
     const int replication = static_cast<int>(lane_rng.uniform_int(2, 4));
@@ -231,55 +232,29 @@ CaseResult run_differential_case(std::uint64_t seed,
     if (agg_scenario.classes().num_classes() > scenario.num_users()) {
       fail("replicated workload produced more classes than template users");
     }
-    core::SoCLParams per_user_params;
-    per_user_params.combination.aggregate_requests = false;
     const core::Solution by_class = core::SoCL().solve(agg_scenario);
-    const core::Solution by_user =
-        core::SoCL(per_user_params).solve(agg_scenario);
-    if (!(by_class.placement == by_user.placement)) {
-      fail("aggregated and per-user solves diverged in placement");
+    const auto by_user =
+        core::ChainRouter(agg_scenario).route_all(by_class.placement);
+    if (by_class.assignment.has_value() != by_user.has_value()) {
+      fail("aggregated solve and per-member router disagree on routability");
     }
-    const core::Evaluation& ec = by_class.evaluation;
-    const core::Evaluation& eu = by_user.evaluation;
-    if (ec.objective != eu.objective ||
-        ec.total_latency != eu.total_latency ||
-        ec.deployment_cost != eu.deployment_cost ||
-        ec.deadline_violations != eu.deadline_violations ||
-        ec.routable != eu.routable) {
-      fail("aggregated objective " + std::to_string(ec.objective) +
-           " not bit-identical to per-user " + std::to_string(eu.objective));
-    }
-    if (by_class.assignment.has_value() != by_user.assignment.has_value()) {
-      fail("aggregated and per-user solves diverged in routability");
-    }
-    if (by_class.assignment.has_value() && by_user.assignment.has_value()) {
+    if (by_class.assignment.has_value() && by_user.has_value()) {
       for (int h = 0; h < agg_scenario.num_users(); ++h) {
         if (!std::ranges::equal(by_class.assignment->user_route(h),
-                                by_user.assignment->user_route(h))) {
-          fail("assignment for user " + std::to_string(h) +
-               " differs between aggregated and per-user solves");
+                                by_user->user_route(h))) {
+          fail("user " + std::to_string(h) +
+               " routed differently from its own per-user ChainRouter route");
           break;
         }
       }
-      const SolutionValidator agg_validator(agg_scenario);
-      const Report rc =
-          agg_validator.validate(by_class.placement, *by_class.assignment);
-      const Report ru =
-          agg_validator.validate(by_user.placement, *by_user.assignment);
-      bool same = rc.violations.size() == ru.violations.size() &&
-                  rc.total_latency == ru.total_latency &&
-                  rc.objective == ru.objective;
-      for (std::size_t i = 0; same && i < rc.violations.size(); ++i) {
-        const Violation& a = rc.violations[i];
-        const Violation& b = ru.violations[i];
-        same = a.constraint == b.constraint && a.user == b.user &&
-               a.node == b.node && a.microservice == b.microservice &&
-               a.position == b.position && a.lhs == b.lhs && a.rhs == b.rhs;
-      }
-      if (!same) {
-        fail("validator reports differ between aggregated and per-user "
-             "solves:\n  aggregated: " + rc.summary() +
-             "\n  per-user: " + ru.summary());
+      const core::Evaluation& ec = by_class.evaluation;
+      const Report rc = SolutionValidator(agg_scenario)
+                            .validate(by_class.placement, *by_class.assignment);
+      if (structural_violations(rc) > 0 ||
+          rc.count(Constraint::kDeadline) != ec.deadline_violations ||
+          !approx_eq(rc.total_latency, ec.total_latency, tol)) {
+        fail("validator audit of the aggregated solve disagrees with its "
+             "evaluation: " + rc.summary());
       }
     }
   }
@@ -500,8 +475,8 @@ CaseResult run_kernel_differential_case(std::uint64_t seed,
   for (workload::MsId m = 0; m < scenario.num_microservices(); ++m) {
     for (net::NodeId k = 0; k < scenario.num_nodes(); ++k) dense.deploy(m, k);
   }
-  core::RoutingEngine kernel_engine(scenario, 1, false, true, true);
-  core::RoutingEngine legacy_engine(scenario, 1, false, true, false);
+  core::RoutingEngine kernel_engine(scenario, 1, true);
+  core::RoutingEngine legacy_engine(scenario, 1, false);
   const auto compare_engines = [&](const char* when) {
     kernel_engine.refresh(dense);
     legacy_engine.refresh(dense);

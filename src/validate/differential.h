@@ -9,9 +9,9 @@
 //   * validator verdicts agree with Evaluation flags bit-for-bit
 //     (deadline-violation count, budget, storage, routability) and the
 //     independently recomputed Σ D_h / objective match to tolerance;
-//   * a replicated workload solved with and without request-class
-//     aggregation (DESIGN.md §4g) yields identical placements, objectives,
-//     assignments, and validator violation sets — bit-for-bit;
+//   * on a replicated workload, the solve's class-aggregated assignment
+//     (DESIGN.md §4g) equals every user's own per-user ChainRouter route
+//     under the solved placement, node for node, and validates cleanly;
 //   * heuristic objective >= exact optimum (the exact solver is a lower
 //     bound over the same budget-feasible space);
 //   * exact-infeasible implies the heuristic cannot produce a validated

@@ -108,9 +108,10 @@ TEST(RoutingEngine, RemovalScoringAvoidsUntouchedUsers) {
 
 TEST(RoutingEngine, ScoreCandidatesMatchesSerialLoop) {
   Fixture fx(15);
-  // Engines only differ in fan-out policy; scores must be bit-identical.
-  RoutingEngine parallel_engine(fx.scenario, /*threads=*/4, /*parallel=*/true);
-  RoutingEngine serial_engine(fx.scenario, /*threads=*/1, /*parallel=*/false);
+  // Engines only differ in thread count (threads == 1 never fans out);
+  // scores must be bit-identical.
+  RoutingEngine parallel_engine(fx.scenario, /*threads=*/4);
+  RoutingEngine serial_engine(fx.scenario, /*threads=*/1);
   parallel_engine.refresh(fx.pre.placement);
   serial_engine.refresh(fx.pre.placement);
 
@@ -215,7 +216,7 @@ TEST(RoutingEngine, WorkloadMutationRescoresLikeFreshEngine) {
 TEST(RoutingEngine, PoolSizingRobustForAllThreadSettings) {
   for (const int threads : {0, 1, 2, 7}) {
     Fixture fx(18);
-    RoutingEngine engine(fx.scenario, threads, /*parallel=*/true);
+    RoutingEngine engine(fx.scenario, threads);
     EXPECT_GE(engine.pool().size(), 1u) << "threads=" << threads;
     engine.refresh(fx.pre.placement);
     const double expected = engine.full_objective(fx.pre.placement);
@@ -238,7 +239,7 @@ TEST(RoutingEngine, PoolSizingRobustForAllThreadSettings) {
 // (the tsan CI job runs this test under ThreadSanitizer).
 TEST(RoutingEngine, ConvenienceOverloadsSafeDuringScoreCandidates) {
   Fixture fx(19);
-  RoutingEngine engine(fx.scenario, /*threads=*/4, /*parallel=*/true);
+  RoutingEngine engine(fx.scenario, /*threads=*/4);
   engine.refresh(fx.pre.placement);
   const double expected_full = engine.full_objective(fx.pre.placement);
 
@@ -290,19 +291,17 @@ TEST(RoutingEngine, ConvenienceOverloadsSafeDuringScoreCandidates) {
   }
 }
 
-// The headline determinism guarantee: a full SoCL solve with parallel
-// cached scoring returns the exact placement and objective of the serial
-// path under a fixed seed.
+// The headline determinism guarantee: a full SoCL solve at threads 4
+// (parallel cached scoring, concurrent dense basin) returns the exact
+// placement and objective of the threads-1 run under a fixed seed.
 class SolveDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolveDeterminism, ParallelSolveIdenticalToSerial) {
   const auto scenario = make_scenario(small_config(10, 40), GetParam());
 
   SoCLParams parallel_params;
-  parallel_params.combination.use_parallel_scoring = true;
   parallel_params.combination.threads = 4;
   SoCLParams serial_params;
-  serial_params.combination.use_parallel_scoring = false;
   serial_params.combination.threads = 1;
 
   const Solution par = SoCL(parallel_params).solve(scenario);

@@ -282,8 +282,8 @@ TEST(ScoreKernel, SteadyStateScoringIsAllocationFree) {
 // deterministic in-tree smoke).
 TEST(ScoreKernel, EngineDispatchMatchesLegacyEngine) {
   Fixture fx(36);
-  RoutingEngine with_kernel(fx.scenario, 1, false, true, /*use_kernel=*/true);
-  RoutingEngine legacy(fx.scenario, 1, false, true, /*use_kernel=*/false);
+  RoutingEngine with_kernel(fx.scenario, 1, /*use_kernel=*/true);
+  RoutingEngine legacy(fx.scenario, 1, /*use_kernel=*/false);
   ASSERT_TRUE(with_kernel.kernel_enabled());
   ASSERT_FALSE(legacy.kernel_enabled());
   with_kernel.refresh(fx.pre.placement);
