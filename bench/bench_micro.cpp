@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
-// routing DP, virtual-link construction, latency-loss updates, the simplex
-// engine, and the end-to-end SoCL solve.
+// routing DP, the scoring kernel, virtual-link construction, latency-loss
+// updates, the simplex engine, the end-to-end SoCL solve and the sharded
+// price search.
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "bench_common.h"
 #include "core/fuzzy_ahp.h"
 #include "core/routing_engine.h"
 #include "ilp/socl_ilp.h"
+#include "net/multi_metro.h"
+#include "shard/sharded_solver.h"
+#include "workload/request_gen.h"
 
 namespace {
 
@@ -152,15 +158,103 @@ void BM_CandidateScanEngineCached(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateScanEngineCached)->Unit(benchmark::kMillisecond);
 
+// refresh() re-routes only the classes whose chain services changed node
+// set, so the loop alternates between the pre-provisioned placement and a
+// copy where every service's node set differs: each refresh re-routes every
+// class, the full-refresh cost this case has always measured.
 void BM_RouteCacheRefresh(benchmark::State& state) {
   const auto& setup = scan_setup();
-  core::RoutingEngine engine(shared_scenario());
+  const auto& scenario = shared_scenario();
+  core::Placement flipped = setup.pre.placement;
+  for (core::MsId m = 0; m < scenario.num_microservices(); ++m) {
+    for (core::NodeId k = 0; k < scenario.num_nodes(); ++k) {
+      if (!flipped.deployed(m, k)) {
+        flipped.deploy(m, k);
+        break;
+      }
+    }
+  }
+  core::RoutingEngine engine(scenario);
+  bool flip = false;
   for (auto _ : state) {
-    engine.refresh(setup.pre.placement);
+    engine.refresh(flip ? flipped : setup.pre.placement);
+    flip = !flip;
     benchmark::DoNotOptimize(engine.cached_latency_sum());
   }
+  attach_routing_counters(state, engine.counters());
 }
 BENCHMARK(BM_RouteCacheRefresh)->Unit(benchmark::kMillisecond);
+
+// ScoreKernel::class_cost over every class of the shared scenario under the
+// pre-provisioned placement. warm:0 scores on a fresh arena per iteration
+// (first touch: candidate lists, lane buffers and the DP for every class);
+// warm:1 re-binds one long-lived arena to the same placement, so repeated
+// (class, chain node sets) keys can be served without a DP run.
+void BM_ScoreKernelClassCost(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const auto& scenario = shared_scenario();
+  const auto& setup = scan_setup();
+  const core::ScoreKernel kernel(scenario);
+  const int classes = scenario.classes().num_classes();
+  core::ScoreKernel::Arena long_lived;
+  core::KernelStats stats;
+  if (warm) {
+    kernel.bind(long_lived, setup.pre.placement);
+    for (int c = 0; c < classes; ++c) kernel.class_cost(c, long_lived, stats);
+  }
+  for (auto _ : state) {
+    core::ScoreKernel::Arena fresh;
+    core::ScoreKernel::Arena& arena = warm ? long_lived : fresh;
+    kernel.bind(arena, setup.pre.placement);
+    double total = 0.0;
+    for (int c = 0; c < classes; ++c) {
+      total += kernel.class_cost(c, arena, stats);
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.counters["classes"] = classes;
+}
+BENCHMARK(BM_ScoreKernelClassCost)->ArgName("warm")->Arg(0)->Arg(1);
+
+// One coordinated ShardedSoCL::solve — the whole budget-price search — on a
+// 4-metro × 6-node substrate with the eshop catalogue: 400 template users
+// replicated to 2000, under a budget tight enough that the search runs 15
+// priced iterates and stops on the bracket rule, like the re-prices of a
+// chaos_sharded day. perfbench's pin: 2 shard workers × 2 combination
+// threads, so the case reports wall time.
+void BM_ShardedPriceSearch(benchmark::State& state) {
+  static const auto setup = [] {
+    net::MultiMetroConfig config;
+    config.metros = 4;
+    config.metro.num_nodes = 6;
+    const net::MultiMetroTopology topo = net::make_multi_metro(config, 7);
+    workload::RequestGenConfig gen;
+    gen.num_users = 400;
+    core::ProblemConstants constants;
+    constants.budget = 4000.0 * config.metros;
+    auto requests = workload::replicate_requests(
+        workload::generate_requests(topo.network, workload::eshop_catalog(),
+                                    gen, 11),
+        2000);
+    return std::make_pair(
+        std::make_unique<core::Scenario>(topo.network,
+                                         workload::eshop_catalog(),
+                                         std::move(requests), constants),
+        shard::plan_from_metros(topo.metro_of, config.metros));
+  }();
+  shard::ShardedParams params;
+  params.threads = 2;
+  params.shard_threads = 2;
+  int iterations = 0;
+  for (auto _ : state) {
+    shard::ShardedSoCL solver(*setup.first, setup.second, params);
+    const shard::ShardedSolution solution = solver.solve();
+    iterations = solution.iterations;
+    benchmark::DoNotOptimize(solution.evaluation.objective);
+  }
+  state.counters["price_iterations"] = iterations;
+}
+BENCHMARK(BM_ShardedPriceSearch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LatencyLossList(benchmark::State& state) {
   const auto& scenario = shared_scenario();

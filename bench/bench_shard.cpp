@@ -18,7 +18,9 @@
 //   * every point's recombined solution passes the independent
 //     SolutionValidator audit with zero Eq. (5) budget violations;
 //   * the socl.shard.* gauges (docs/METRICS.md) mirror the run.
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,12 @@ struct SweepRow {
   bool identical = true;     // only meaningful at 1 metro
   int budget_violations = 0;
   bool gauges_ok = true;
+  /// Price-search stop reasons (socl.shard.stop.*), in kStopReasons order.
+  std::vector<std::int64_t> stops;
 };
+
+constexpr const char* kStopReasons[] = {"certificate", "bracket", "cap",
+                                        "single_shard"};
 
 /// Builds the M-metro scenario: stitched substrate, eshop catalog, a
 /// template workload generated over the whole network and replicated to the
@@ -139,6 +146,11 @@ SweepRow run_point(int metros, int nodes_per_metro, int num_users,
   }
 
   const auto snapshot = recorder.metrics().snapshot();
+  for (const char* reason : kStopReasons) {
+    const auto* entry =
+        snapshot.find(std::string("socl.shard.stop.") + reason);
+    row.stops.push_back(entry != nullptr ? entry->counter : 0);
+  }
   for (const char* gauge : {"socl.shard.shards", "socl.shard.iterations",
                             "socl.shard.duality_gap", "socl.shard.price",
                             "socl.shard.spend"}) {
@@ -178,6 +190,7 @@ int main(int argc, char** argv) {
   bool gaps_ok = true;
   bool budget_ok = true;
   bool gauges_ok = true;
+  std::vector<std::int64_t> stops(std::size(kStopReasons), 0);
   for (const int metros : sweep) {
     // The unsharded head-to-head beyond a few metros costs more than the
     // rest of the sweep combined (a 4-metro tiny point alone is ~80s); the
@@ -190,6 +203,7 @@ int main(int argc, char** argv) {
     if (row.metros > 1) gaps_ok = gaps_ok && row.gap <= 0.05;
     budget_ok = budget_ok && row.budget_violations == 0;
     gauges_ok = gauges_ok && row.gauges_ok;
+    for (std::size_t i = 0; i < stops.size(); ++i) stops[i] += row.stops[i];
     table.row()
         .integer(row.metros)
         .integer(row.nodes)
@@ -208,6 +222,13 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   bench::maybe_write_csv(table, "shard_sweep");
+
+  // Why each price search ended (summary only; the CSV keeps its columns).
+  std::cout << "\nprice-search stops:";
+  for (std::size_t i = 0; i < stops.size(); ++i) {
+    std::cout << ' ' << kStopReasons[i] << ' ' << stops[i];
+  }
+  std::cout << '\n';
 
   std::cout << "\nsingle-shard vs unsharded: "
             << (identity_ok ? "bit-identical PASS" : "DIVERGED FAIL")

@@ -53,6 +53,15 @@ std::size_t Placement::nodes_of_into(MsId m, std::vector<NodeId>& out) const {
   return out.size();
 }
 
+bool Placement::same_nodes(MsId m, const Placement& other) const {
+  if (other.services_ != services_ || other.nodes_ != nodes_) {
+    throw std::invalid_argument("Placement::same_nodes: dimension mismatch");
+  }
+  const auto row = static_cast<std::ptrdiff_t>(idx(m, 0));
+  return std::equal(x_.begin() + row, x_.begin() + row + nodes_,
+                    other.x_.begin() + row);
+}
+
 double Placement::deployment_cost(const workload::AppCatalog& catalog) const {
   double total = 0.0;
   for (MsId m = 0; m < services_; ++m) {

@@ -43,6 +43,10 @@ class Placement {
   /// on. Returns the number of instances written.
   std::size_t nodes_of_into(MsId m, std::vector<NodeId>& out) const;
 
+  /// True when m is deployed on exactly the same nodes in `other` (which
+  /// must have the same dimensions).
+  bool same_nodes(MsId m, const Placement& other) const;
+
   /// Total deployment cost Σ_k K_k = Σ_{i,k} κ(m_i)·x(i,k).
   double deployment_cost(const workload::AppCatalog& catalog) const;
 

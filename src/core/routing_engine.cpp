@@ -129,10 +129,47 @@ void RoutingEngine::refresh(const Placement& placement) {
   if (kernel_ && kernel_->sync()) ++counters_.kernel.rebuilds;
   const auto& classes = scenario_->classes().classes();
   const std::size_t n = classes.size();
-  cached_latency_.assign(n, kInf);
-  cached_routes_.resize(n);
 
-  const bool fan_out = n >= 64 && (threads_ == 0 || threads_ > 1);
+  // Placement diff: a class's route is a pure function of the class and of
+  // the node sets of its chain's microservices, so under the workload epoch
+  // of the last refresh only the classes of services whose node set moved
+  // can route differently. Everything else keeps its cached entry, which is
+  // bitwise what re-routing it would produce.
+  to_route_.clear();
+  if (diff_valid_ && refreshed_workload_epoch_ == scenario_->workload_epoch()) {
+    route_mark_.assign(n, 0);
+    for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
+      if (placement.same_nodes(m, *refreshed_)) continue;
+      for (const int c : classes_of_[static_cast<std::size_t>(m)]) {
+        route_mark_[static_cast<std::size_t>(c)] = 1;
+      }
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      if (route_mark_[c] != 0) to_route_.push_back(static_cast<int>(c));
+    }
+  } else {
+    cached_latency_.assign(n, kInf);
+    cached_routes_.resize(n);
+    for (std::size_t c = 0; c < n; ++c) to_route_.push_back(static_cast<int>(c));
+  }
+  // Invalid until this refresh completes: a refresh interrupted by an
+  // exception leaves a partly re-routed cache that no diff may trust.
+  diff_valid_ = false;
+
+  const auto route_class = [&](std::size_t c, ScoreContext& ctx,
+                               RouteResult& route) {
+    const bool ok = class_route(static_cast<int>(c), placement, ctx, route);
+    ++ctx.counters.routes_computed;
+    cached_latency_[c] = ok ? route.total() : kInf;
+    auto& cached = cached_routes_[c];
+    if (ok) {
+      cached.assign(route.nodes.begin(), route.nodes.end());
+    } else {
+      cached.clear();
+    }
+  };
+  const std::size_t count = to_route_.size();
+  const bool fan_out = count >= 64 && (threads_ == 0 || threads_ > 1);
   // One bind generation for the whole refresh: every worker binds its arena
   // to `placement` once and fast-paths on every later class it routes.
   const std::uint64_t gen = next_bind_gen();
@@ -141,46 +178,38 @@ void RoutingEngine::refresh(const Placement& placement) {
     ScoreContext ctx = lease.context();
     if (kernel_) kernel_->bind(ctx.arena, placement, gen);
     RouteResult route;
-    for (std::size_t c = 0; c < n; ++c) {
-      const bool ok = class_route(static_cast<int>(c), placement, ctx, route);
-      ++ctx.counters.routes_computed;
-      cached_latency_[c] = ok ? route.total() : kInf;
-      auto& cached = cached_routes_[c];
-      if (ok) {
-        cached.assign(route.nodes.begin(), route.nodes.end());
-      } else {
-        cached.clear();
-      }
+    for (const int c : to_route_) {
+      route_class(static_cast<std::size_t>(c), ctx, route);
     }
   } else {
     util::ThreadPool& workers = pool();
     std::vector<RoutingCounters> worker_counters(workers.size());
     std::vector<RouteResult> worker_routes(workers.size());
-    workers.parallel_for_workers(n, [&](std::size_t worker, std::size_t i) {
+    workers.parallel_for_workers(count, [&](std::size_t worker, std::size_t i) {
       assert(worker < scratches_.size() && worker < arenas_.size());
       ScoreContext ctx{scratches_[worker], worker_counters[worker],
                        arenas_[worker]};
       if (kernel_) kernel_->bind(ctx.arena, placement, gen);
-      RouteResult& route = worker_routes[worker];
-      const bool ok = class_route(static_cast<int>(i), placement, ctx, route);
-      ++ctx.counters.routes_computed;
-      cached_latency_[i] = ok ? route.total() : kInf;
-      auto& cached = cached_routes_[i];
-      if (ok) {
-        cached.assign(route.nodes.begin(), route.nodes.end());
-      } else {
-        cached.clear();
-      }
+      route_class(static_cast<std::size_t>(to_route_[i]), ctx,
+                  worker_routes[worker]);
     });
     for (const auto& wc : worker_counters) merge_counters(wc);
   }
-  // Fixed-order serial reduction: each class's latency is a pure function of
-  // (class, placement), so summing by ascending class index makes the total
-  // bit-identical to the serial loop at any thread count.
+  // Fixed-order serial reduction over every class: each class's latency is
+  // a pure function of (class, placement), so summing by ascending class
+  // index makes the total bit-identical to a full serial refresh at any
+  // thread count, however many classes this refresh re-routed.
   cached_latency_sum_ = 0.0;
   for (std::size_t c = 0; c < n; ++c) {
     cached_latency_sum_ += classes[c].weight * cached_latency_[c];
   }
+  if (refreshed_) {
+    *refreshed_ = placement;
+  } else {
+    refreshed_.emplace(placement);
+  }
+  refreshed_workload_epoch_ = scenario_->workload_epoch();
+  diff_valid_ = true;
   ++epoch_;
   ++counters_.cache_refreshes;
   counters_.refresh_seconds += timer.elapsed_seconds();

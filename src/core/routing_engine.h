@@ -16,8 +16,9 @@
 //     bit-identical to the legacy ChainRouter path (the differential kernel
 //     lane enforces this). use_kernel = false keeps the legacy path for
 //     differential checking and the bench_scale head-to-head;
-//   - a placement-epoch-keyed per-class route cache: refresh() routes every
-//     class once and stamps an epoch; candidate scoring then reroutes only
+//   - a placement-epoch-keyed per-class route cache: refresh() brings every
+//     class's route up to date (re-routing only the classes the placement
+//     diff touches) and stamps an epoch; candidate scoring then reroutes only
 //     the classes whose chains contain the changed microservice, and for
 //     removals only the classes whose cached route actually used the removed
 //     instance. refresh() also re-derives the class index (and re-syncs the
@@ -49,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/routing.h"
@@ -65,8 +67,10 @@ namespace socl::core {
 /// summed across workers (order-independent), so parallel runs report the
 /// same totals as serial ones.
 struct RoutingCounters {
-  /// Full chain-DP evaluations (route / route_cost / kernel batch runs);
-  /// one run covers a whole request class.
+  /// Class scorings and routes requested (route / route_cost / kernel
+  /// class_cost and class_route); one covers a whole request class. A
+  /// kernel class-cost memo hit still counts here (see
+  /// KernelStats::cost_memo_hits), so the count is thread-count-invariant.
   std::int64_t routes_computed = 0;
   /// Class latencies served straight from the epoch cache while scoring.
   std::int64_t cache_hits = 0;
@@ -75,7 +79,8 @@ struct RoutingCounters {
   std::int64_t reroutes_avoided = 0;
   /// Candidate moves scored through score_candidates().
   std::int64_t candidates_scored = 0;
-  /// refresh() calls (one full re-route of the workload each).
+  /// refresh() calls (each brings the whole workload's cache up to date;
+  /// the classes it actually re-routed count in routes_computed).
   std::int64_t cache_refreshes = 0;
   double refresh_seconds = 0.0;  ///< wall time inside refresh()
   double score_seconds = 0.0;    ///< wall time inside score_candidates()
@@ -96,9 +101,13 @@ class RoutingEngine {
 
   // ---- Placement-epoch route cache ----
 
-  /// Routes every request class under `placement`, replacing the cache and
-  /// bumping the epoch; rebuilds the class index and the kernel's SoA
-  /// buffers first when the scenario's workload epoch moved. Must be called
+  /// Brings the cache to `placement` and bumps the epoch. Under the
+  /// workload epoch of the previous refresh it re-routes only the classes
+  /// whose chain contains a service with a different node set than the
+  /// previously refreshed placement; otherwise (first refresh, or the
+  /// workload epoch moved) it rebuilds the class index and the kernel's SoA
+  /// buffers and routes every class. Either way every cached latency, route
+  /// and the sum are bitwise those of a full re-route. Must be called
   /// before the objective_* shortcuts. Not safe to run concurrently with
   /// any other entry point (it rewrites the cache they read).
   void refresh(const Placement& placement);
@@ -253,6 +262,14 @@ class RoutingEngine {
   std::vector<double> cached_latency_;
   std::vector<std::vector<NodeId>> cached_routes_;
   double cached_latency_sum_ = 0.0;
+  /// The last refreshed placement and the workload epoch it was routed
+  /// under: the base of the next refresh's diff, trusted iff diff_valid_.
+  std::optional<Placement> refreshed_;
+  std::uint64_t refreshed_workload_epoch_ = 0;
+  bool diff_valid_ = false;
+  /// refresh() work list (ascending class ids) and its per-class marks.
+  std::vector<int> to_route_;
+  std::vector<std::uint8_t> route_mark_;
 
   /// Fan-out worker-slot state (sized to the pool by pool()); the serial
   /// paths lease SerialSlots instead, so the two can never alias.

@@ -1,6 +1,8 @@
 #include "core/score_kernel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -20,13 +22,34 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // pure wall-time policy on gather_layers' max_pair.
 constexpr std::size_t kTableStripeReads = 16;
 
+// Class-cost memo sizing: about eight slots per class (rounded up to a power
+// of two so the slot is the top bits of the hash), capped at a byte budget per
+// arena. A smaller table only costs hits, never correctness.
+constexpr std::size_t kMemoSlotsPerClass = 8;
+constexpr std::size_t kMemoBudgetBytes = 16u << 20;
+
+// Source of ScoreKernel::build_id_: unique across every kernel of the
+// process, so an arena can tell builds apart without holding a pointer.
+std::atomic<std::uint64_t> g_next_build_id{1};
+
+// Class word of an empty memo slot (no class id takes this value).
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+
+// Multiplicative (Fibonacci) hashing: the memo slot is the top bits of a
+// running product over the key words, folded once more at the end (the
+// plain product left node masks that differ only in their low positions
+// crowding a few slots). The hash only picks a slot; equality is always
+// decided on the full key.
+constexpr std::uint64_t kHashMultiplier = 0x9E3779B97F4A7C15ULL;
+
 }  // namespace
 
 ScoreKernel::ScoreKernel(const Scenario& scenario,
                          std::size_t delay_table_budget_bytes)
     : scenario_(&scenario),
       num_nodes_(static_cast<std::size_t>(scenario.num_nodes())),
-      delay_table_budget_(delay_table_budget_bytes) {
+      delay_table_budget_(delay_table_budget_bytes),
+      mask_words_((num_nodes_ + 63) / 64) {
   rebuild();
 }
 
@@ -97,6 +120,21 @@ void ScoreKernel::rebuild() {
     dout_.clear();
     edge_delay_.clear();
   }
+
+  std::size_t longest = 0;
+  for (int c = 0; c < soa_.num_classes(); ++c) {
+    longest = std::max(longest, soa_.chain_length(c));
+  }
+  memo_stride_ = 2 + (longest * num_nodes_ + 63) / 64;
+  memo_slots_ = std::bit_ceil(std::max<std::size_t>(count, 1) *
+                              kMemoSlotsPerClass);
+  while (memo_slots_ > 4 &&
+         memo_slots_ * memo_stride_ * sizeof(std::uint64_t) >
+             kMemoBudgetBytes) {
+    memo_slots_ /= 2;
+  }
+  memo_shift_ = 65 - static_cast<unsigned>(std::countr_zero(memo_slots_));
+  build_id_ = g_next_build_id.fetch_add(1, std::memory_order_relaxed);
   epoch_seen_ = scenario_->workload_epoch();
 }
 
@@ -116,6 +154,9 @@ void ScoreKernel::bind(Arena& arena, const Placement& placement) const {
   if (arena.ms_nodes.size() < services) {
     arena.ms_nodes.resize(services);
     arena.ms_stamp.resize(services, 0);
+  }
+  if (arena.ms_mask.size() < services * mask_words_) {
+    arena.ms_mask.resize(services * mask_words_);
   }
 }
 
@@ -140,6 +181,12 @@ bool ScoreKernel::gather_layers(int c, std::size_t len, Arena& arena,
     if (arena.ms_stamp[m] != arena.stamp) {
       arena.bound->nodes_of_into(static_cast<MsId>(m), nodes);
       arena.ms_stamp[m] = arena.stamp;
+      std::uint64_t* mask = &arena.ms_mask[m * mask_words_];
+      std::fill(mask, mask + mask_words_, 0);
+      for (const NodeId k : nodes) {
+        const auto bit = static_cast<std::size_t>(k);
+        mask[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      }
       ++stats.memo_misses;
     } else {
       ++stats.memo_hits;
@@ -386,11 +433,75 @@ double ScoreKernel::single_lane_total(int c, std::size_t len,
   return best;
 }
 
+void ScoreKernel::reset_cost_memo(Arena& arena) const {
+  arena.memo.resize(memo_slots_ * memo_stride_);
+  for (std::size_t slot = 0; slot < memo_slots_; ++slot) {
+    arena.memo[slot * memo_stride_] = kEmptySlot;
+  }
+  arena.probe.resize(memo_stride_);
+  arena.memo_owner = build_id_;
+}
+
 double ScoreKernel::class_cost(int c, Arena& arena, KernelStats& stats) const {
   ++stats.costs;
   const std::size_t len = soa_.chain_length(c);
   std::size_t max_pair = 1;
   if (!gather_layers(c, len, arena, stats, max_pair)) return kInf;
+  if (arena.memo_owner != build_id_) reset_cost_memo(arena);
+
+  // The key: the class id plus the node mask of every chain position,
+  // packed back to back at V bits each. The layers, and with them the DP
+  // variant and every operand, are a function of that key, so a stored
+  // total is exactly what the DP would return.
+  const auto begin = static_cast<std::size_t>(
+      soa_.chain_offset[static_cast<std::size_t>(c)]);
+  const std::size_t words = (len * num_nodes_ + 63) / 64;
+  std::uint64_t* probe = arena.probe.data();
+  std::fill(probe, probe + words, 0);
+  std::size_t bit = 0;
+  for (std::size_t pos = 0; pos < len; ++pos) {
+    const std::uint64_t* mask =
+        &arena.ms_mask[static_cast<std::size_t>(soa_.chain[begin + pos]) *
+                       mask_words_];
+    for (std::size_t w = 0; w < mask_words_; ++w) {
+      const std::size_t width = std::min<std::size_t>(64, num_nodes_ - 64 * w);
+      const std::size_t shift = bit % 64;
+      probe[bit / 64] |= mask[w] << shift;
+      if (shift + width > 64) probe[bit / 64 + 1] |= mask[w] >> (64 - shift);
+      bit += width;
+    }
+  }
+  std::uint64_t hash = (static_cast<std::uint64_t>(c) + 1) * kHashMultiplier;
+  for (std::size_t w = 0; w < words; ++w) {
+    hash = (hash ^ probe[w]) * kHashMultiplier;
+  }
+  hash = (hash ^ (hash >> 32)) * kHashMultiplier;
+
+  // Two-way buckets, most recently used way first: two keys that hash to
+  // one bucket no longer evict each other on every alternation.
+  const auto c_word = static_cast<std::uint64_t>(c);
+  std::uint64_t* front =
+      arena.memo.data() + (hash >> memo_shift_) * 2 * memo_stride_;
+  std::uint64_t* back = front + memo_stride_;
+  for (std::uint64_t* slot : {front, back}) {
+    if (slot[0] == c_word && std::equal(probe, probe + words, slot + 2)) {
+      ++stats.cost_memo_hits;
+      stats.lanes += static_cast<std::int64_t>(arena.layers[0]->size());
+      const double total = std::bit_cast<double>(slot[1]);
+      if (slot == back) std::swap_ranges(front, back, back);
+      return total;
+    }
+  }
+  const double total = dp_total(c, len, max_pair, arena, stats);
+  std::copy(front, back, back);
+  front[0] = c_word;
+  front[1] = std::bit_cast<std::uint64_t>(total);
+  std::copy(probe, probe + words, front + 2);
+  return total;
+}
+
+double ScoreKernel::dp_total(int c, std::size_t len, std::size_t max_pair,
+                             Arena& arena, KernelStats& stats) const {
   if (arena.layers[0]->size() == 1) {
     stats.lanes += 1;
     if (max_pair == 1) {

@@ -26,7 +26,12 @@
 //     trial placement fills each microservice's layer once instead of once
 //     per class. An Arena must not be shared between concurrent calls; the
 //     routing engine keeps one per worker slot plus a checked-out pool for
-//     its convenience entry points.
+//     its convenience entry points;
+//   * each Arena also keeps a class-cost memo. A class's DP total is a pure
+//     function of the class and of the node set of every microservice in
+//     its chain, so class_cost looks that exact key up before running any
+//     DP. Search moves re-score the same (class, chain node sets) pairs
+//     round after round; the memo turns those repeats into one lookup.
 //
 // Bit-identity contract: every lane evaluates the same floating-point
 // expressions in the same order as ChainRouter::route / route_cost — init
@@ -53,6 +58,11 @@ struct KernelStats {
   std::int64_t memo_hits = 0;   ///< candidate-list lookups served by the memo
   std::int64_t memo_misses = 0; ///< candidate-list lookups that hit Placement
   std::int64_t rebuilds = 0;    ///< SoA rebuilds (workload epoch moves)
+  /// class_cost calls answered by the class-cost memo (no DP run). They
+  /// still count in `costs` and `lanes`, which therefore stay a function
+  /// of the scoring requests alone; this one depends on which worker's
+  /// arena served which class.
+  std::int64_t cost_memo_hits = 0;
 
   void merge(const KernelStats& other) {
     costs += other.costs;
@@ -60,6 +70,7 @@ struct KernelStats {
     memo_hits += other.memo_hits;
     memo_misses += other.memo_misses;
     rebuilds += other.rebuilds;
+    cost_memo_hits += other.cost_memo_hits;
   }
 };
 
@@ -79,6 +90,18 @@ class ScoreKernel {
     std::uint64_t stamp = 0;
     std::vector<std::vector<NodeId>> ms_nodes;
     std::vector<std::uint64_t> ms_stamp;
+    /// ms_nodes[m] as a node bitmask, [m * mask_words + w]; filled with it.
+    std::vector<std::uint64_t> ms_mask;
+
+    // Class-cost memo: a table of two-slot buckets mapping (class, node
+    // masks of the chain positions packed back to back, V bits each) -> DP
+    // total. Slot layout [class or kEmptySlot, total bits, key words...],
+    // the most recently used slot of a bucket first. It belongs to one
+    // kernel build (`memo_owner`); class_cost clears it when the arena
+    // meets another kernel or the kernel rebuilt for a new workload epoch.
+    std::uint64_t memo_owner = 0;
+    std::vector<std::uint64_t> memo;
+    std::vector<std::uint64_t> probe;  ///< the key being looked up
 
     // Lane-batched DP state (candidate-major, lane-contiguous).
     std::vector<double> dp;
@@ -119,6 +142,10 @@ class ScoreKernel {
   /// Optimal completion time of class c under the placement bound to
   /// `arena` — bit-identical to ChainRouter::route_cost on the class
   /// representative (the DP-accumulated total, +inf when unroutable).
+  /// Served from the arena's class-cost memo when the same class was
+  /// scored before under the same node set at every chain position; the
+  /// memo compares the full key, so a hit returns the very bits the DP
+  /// would.
   double class_cost(int c, Arena& arena, KernelStats& stats) const;
 
   /// Optimal route and breakdown of class c — bit-identical to
@@ -141,6 +168,11 @@ class ScoreKernel {
   };
 
   void rebuild();
+  /// Sizes and empties the arena's class-cost memo for this kernel build.
+  void reset_cost_memo(Arena& arena) const;
+  /// Runs the cheapest DP variant for class c over the gathered layers.
+  double dp_total(int c, std::size_t len, std::size_t max_pair, Arena& arena,
+                  KernelStats& stats) const;
   /// Fills arena.layers for class c from the memo; false when some chain
   /// microservice has no instance (mirrors fill_layers' first-empty-layer
   /// early exit). `max_pair` receives the largest adjacent layer-width
@@ -178,6 +210,19 @@ class ScoreKernel {
   std::size_t num_nodes_;
   std::size_t delay_table_budget_;
   std::uint64_t epoch_seen_ = 0;
+  /// Process-unique id of the current build; arenas key their class-cost
+  /// memo on it, so neither another kernel's nor a stale epoch's entries
+  /// can ever be read.
+  std::uint64_t build_id_ = 0;
+  /// 64-bit words per node mask: ceil(V / 64).
+  std::size_t mask_words_;
+  /// Memo slot width in words: class, total, and the packed key of the
+  /// longest chain (ceil(longest × V / 64) words).
+  std::size_t memo_stride_ = 0;
+  /// Memo slots per arena (a power of two ≥ 4, ~8 per class), and the
+  /// shift that maps a hash to a two-slot bucket: 65 − log2(memo_slots_).
+  std::size_t memo_slots_ = 0;
+  unsigned memo_shift_ = 63;
 
   workload::ClassDemandSoA soa_;
   /// compute_[m * V + k] = compute_gflop(m) / compute_gflops(k) — the exact

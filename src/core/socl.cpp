@@ -95,6 +95,8 @@ Solution SoCL::solve(const Scenario& scenario) const {
       sink->add_counter("socl.kernel.memo_hits", routing.kernel.memo_hits);
       sink->add_counter("socl.kernel.memo_misses", routing.kernel.memo_misses);
       sink->add_counter("socl.kernel.rebuilds", routing.kernel.rebuilds);
+      sink->add_counter("socl.kernel.cost_memo_hits",
+                        routing.kernel.cost_memo_hits);
       sink->set_gauge("socl.kernel.soa_bytes",
                       static_cast<double>(engine.kernel()->soa_bytes()));
       sink->set_gauge("socl.kernel.delay_tables",

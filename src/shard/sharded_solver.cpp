@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/sink.h"
@@ -134,6 +135,24 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
   for (const ShardProblem& shard : shards_) {
     out.push_back(empty_solution(shard.scenario()));
   }
+  // Largest-first dispatch: the pool hands out shards in `order`, so the
+  // heaviest shard starts first and a light one cannot leave it running
+  // alone at the end of the iterate. Weights are the previous iterate's
+  // per-shard solve times when this solve has one, class counts otherwise.
+  // Results still land by shard index, so the order changes no output.
+  std::vector<double> weight(shards, 0.0);
+  const bool timed = solve_s.size() == shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    weight[s] = timed ? solve_s[s]
+                      : static_cast<double>(
+                            shards_[s].scenario().classes().num_classes());
+  }
+  std::vector<std::size_t> order(shards);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return weight[a] > weight[b];
+                   });
   solve_s.assign(shards, 0.0);
 
   core::SoCLParams shard_params = params_.solver;
@@ -144,7 +163,8 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
 
   util::ThreadPool pool(static_cast<std::size_t>(
       params_.threads > 0 ? params_.threads : 0));
-  pool.parallel_for(shards, [&](std::size_t s) {
+  pool.parallel_for(shards, [&](std::size_t i) {
+    const std::size_t s = order[i];
     ShardProblem& shard = shards_[s];
     if (shard.num_users() == 0) return;  // placeholder is the answer
     core::ProblemConstants constants =
@@ -201,6 +221,8 @@ ShardedSolution ShardedSoCL::solve() {
   bool have_feasible = false;
   bool converged = false;
   int iterations = 0;
+  // Why the price search ended, counted as socl.shard.stop.<reason>.
+  const char* stop = "socl.shard.stop.cap";
 
   const int cap = std::max(1, params_.max_iterations);
   for (int t = 0; t < cap; ++t) {
@@ -258,12 +280,14 @@ ShardedSolution ShardedSoCL::solve() {
         accepted_price = price;
       }
       converged = true;
+      stop = "socl.shard.stop.single_shard";
       break;
     }
     if (have_feasible &&
         slackness_gap(accepted_price, accepted_spend, budget, best_primal) <=
             params_.gap_tolerance) {
       converged = true;
+      stop = "socl.shard.stop.certificate";
       break;
     }
     if (!have_feasible) {
@@ -285,11 +309,14 @@ ShardedSolution ShardedSoCL::solve() {
       }
     } else if (feasible_above - infeasible_below <=
                1e-3 * std::max(1.0, feasible_above)) {
+      stop = "socl.shard.stop.bracket";
       break;  // bracket resolved; the remaining gap is spend granularity
     } else {
       price = 0.5 * (infeasible_below + feasible_above);
     }
   }
+
+  obs::add_counter(params_.sink, stop, 1);
 
   bool fallback = false;
   if (!have_feasible && num_shards > 1) {

@@ -102,6 +102,25 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
   const int users = static_cast<int>(rng.uniform_int(2, 6));
   std::vector<workload::UserRequest> requests;
   for (int h = 0; h < users; ++h) {
+    if (h > 0 && rng.uniform() < 0.3) {
+      // A copy of an earlier request that differs only in its payloads or
+      // only in its deadline: same attach node and chain, so a class key
+      // that ignored those fields would merge the two and the aggregation
+      // lane's per-member oracle would see the member routed or judged as
+      // its representative.
+      workload::UserRequest variant =
+          requests[static_cast<std::size_t>(rng.uniform_int(0, h - 1))];
+      variant.id = h;
+      if (rng.uniform() < 0.5) {
+        for (double& data : variant.edge_data) data = rng.uniform(1.0, 40.0);
+        variant.data_in = rng.uniform(1.0, 20.0);
+        variant.data_out = rng.uniform(1.0, 20.0);
+      } else {
+        variant.deadline = rng.uniform(0.5, 15.0);
+      }
+      requests.push_back(std::move(variant));
+      continue;
+    }
     workload::UserRequest request;
     request.id = h;
     request.attach_node =
@@ -220,7 +239,10 @@ CaseResult run_differential_case(std::uint64_t seed,
   // OWN request through a fresh per-user ChainRouter under the solved
   // placement: each node sequence must equal the solve's assignment
   // exactly, so a class key that merged two requests routing differently
-  // fails here. The validator audits the expanded assignment user by user.
+  // fails here. The members' own completion times must also add up to the
+  // solve's class-aggregated total latency: requests that differ only in
+  // payloads can share a route yet not a completion time. The validator
+  // audits the expanded assignment user by user.
   {
     util::Rng lane_rng(seed ^ 0xa66c1a55e5ULL);
     const int replication = static_cast<int>(lane_rng.uniform_int(2, 4));
@@ -246,6 +268,19 @@ CaseResult run_differential_case(std::uint64_t seed,
                " routed differently from its own per-user ChainRouter route");
           break;
         }
+      }
+      const core::ChainRouter member_router(agg_scenario);
+      double member_latency = 0.0;
+      for (int h = 0; h < agg_scenario.num_users(); ++h) {
+        const auto own =
+            member_router.route(agg_scenario.request(h), by_class.placement);
+        member_latency +=
+            own ? own->total() : std::numeric_limits<double>::infinity();
+      }
+      if (!approx_eq(member_latency, by_class.evaluation.total_latency, tol)) {
+        fail("members' own completion times sum to " +
+             std::to_string(member_latency) + ", the aggregated evaluation to " +
+             std::to_string(by_class.evaluation.total_latency));
       }
       const core::Evaluation& ec = by_class.evaluation;
       const Report rc = SolutionValidator(agg_scenario)

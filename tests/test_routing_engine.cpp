@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <random>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -64,18 +68,108 @@ TEST(RoutingEngine, RouteCostMatchesRouteTotal) {
   }
 }
 
+/// Classes whose representative's chain contains m.
+std::int64_t classes_through(const Scenario& scenario, MsId m) {
+  std::int64_t count = 0;
+  for (const auto& cls : scenario.classes().classes()) {
+    const auto& chain = scenario.request(cls.representative).chain;
+    if (std::find(chain.begin(), chain.end(), m) != chain.end()) ++count;
+  }
+  return count;
+}
+
 TEST(RoutingEngine, RefreshBumpsEpochAndCountsRefreshes) {
   Fixture fx(13);
   RoutingEngine engine(fx.scenario);
+  const auto classes =
+      static_cast<std::int64_t>(fx.scenario.classes().num_classes());
   EXPECT_EQ(engine.epoch(), 0u);
   engine.refresh(fx.pre.placement);
   EXPECT_EQ(engine.epoch(), 1u);
+  EXPECT_EQ(engine.counters().routes_computed, classes);
+
+  // Unchanged placement: nothing to re-route, but the epoch still moves.
   engine.refresh(fx.pre.placement);
   EXPECT_EQ(engine.epoch(), 2u);
-  EXPECT_EQ(engine.counters().cache_refreshes, 2);
-  EXPECT_GE(engine.counters().routes_computed,
-            2 * static_cast<std::int64_t>(fx.scenario.num_users()));
+  EXPECT_EQ(engine.counters().routes_computed, classes);
+
+  // One service gains an instance: exactly its classes are re-routed.
+  Placement moved = fx.pre.placement;
+  const MsId m = 0;
+  NodeId free_node = 0;
+  while (free_node < fx.scenario.num_nodes() &&
+         moved.deployed(m, free_node)) {
+    ++free_node;
+  }
+  ASSERT_LT(free_node, fx.scenario.num_nodes()) << "service 0 is everywhere";
+  moved.deploy(m, free_node);
+  const std::int64_t through = classes_through(fx.scenario, m);
+  ASSERT_GT(through, 0);
+  engine.refresh(moved);
+  EXPECT_EQ(engine.epoch(), 3u);
+  EXPECT_EQ(engine.counters().routes_computed, classes + through);
+  EXPECT_EQ(engine.counters().cache_refreshes, 3);
   EXPECT_GT(engine.counters().refresh_seconds, 0.0);
+}
+
+// refresh() re-routes only the classes its placement diff touches. After
+// any sequence of removals, additions and relocations (several services at
+// a time, down to unroutable ones) the cache must be bitwise what a freshly
+// built engine's full refresh produces — at one thread and on the fan-out,
+// and across a workload mutation in the middle of the walk.
+TEST(RoutingEngine, DiffedRefreshMatchesFreshFullRefresh) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Fixture fx(18, small_config(10, 200));
+    RoutingEngine incremental(fx.scenario, threads);
+    Placement placement = fx.pre.placement;
+    incremental.refresh(placement);
+    std::mt19937_64 rng(42);
+    const int services = fx.scenario.num_microservices();
+    const int nodes = fx.scenario.num_nodes();
+    for (int step = 0; step < 60; ++step) {
+      if (step == 30) {
+        fx.scenario.set_requests(
+            make_scenario(small_config(10, 200), 97).requests());
+      }
+      const int moves = 1 + static_cast<int>(rng() % 3);
+      for (int move = 0; move < moves; ++move) {
+        const auto m = static_cast<MsId>(rng() % services);
+        const auto k = static_cast<NodeId>(rng() % nodes);
+        const auto to = static_cast<NodeId>(rng() % nodes);
+        switch (rng() % 3) {
+          case 0:  // remove (possibly the last instance)
+            placement.remove(m, k);
+            break;
+          case 1:  // add
+            placement.deploy(m, k);
+            break;
+          default:  // relocate
+            if (placement.deployed(m, k)) {
+              placement.remove(m, k);
+              placement.deploy(m, to);
+            }
+        }
+      }
+      incremental.refresh(placement);
+      RoutingEngine fresh(fx.scenario, threads);
+      fresh.refresh(placement);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(incremental.cached_latency_sum()),
+                std::bit_cast<std::uint64_t>(fresh.cached_latency_sum()))
+          << "step " << step;
+      for (int user = 0; user < fx.scenario.num_users(); ++user) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(incremental.cached_latency(user)),
+                  std::bit_cast<std::uint64_t>(fresh.cached_latency(user)))
+            << "step " << step << " user " << user;
+        ASSERT_EQ(incremental.cached_route(user), fresh.cached_route(user))
+            << "step " << step << " user " << user;
+      }
+    }
+    // The diff saved work: 60 full refreshes would route 60 × classes.
+    EXPECT_LT(incremental.counters().routes_computed,
+              60 * static_cast<std::int64_t>(
+                       fx.scenario.classes().num_classes()));
+  }
 }
 
 TEST(RoutingEngine, RemovalScoringAvoidsUntouchedUsers) {

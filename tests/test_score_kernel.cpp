@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <random>
+#include <vector>
 
 #include "core/routing_engine.h"
 #include "core/socl.h"
@@ -247,6 +250,102 @@ TEST(ScoreKernel, RepeatedMicroserviceChains) {
   EXPECT_GT(stats.memo_hits, 0)
       << "repeated services should re-use gathered candidate lists";
   expect_kernel_matches_legacy(fx.scenario, kernel, fx.pre.placement, arena);
+}
+
+// The class-cost memo must be invisible: one long-lived arena scores random
+// classes under a random walk of placements that keeps revisiting earlier
+// ones (so the memo serves hits), and every class_cost must bitwise equal a
+// fresh arena's result under the same placement.
+// Moves toggle instances on nodes [first_node, V).
+void expect_memo_transparent(const Scenario& scenario,
+                             const ScoreKernel& kernel,
+                             const Placement& start, std::uint64_t seed,
+                             ScoreKernel::Arena& warm, KernelStats& stats,
+                             int first_node = 0) {
+  std::mt19937_64 rng(seed);
+  const int services = scenario.num_microservices();
+  const int nodes = scenario.num_nodes() - first_node;
+  const int classes = scenario.classes().num_classes();
+  std::vector<Placement> seen{start};
+  Placement current = start;
+  for (int step = 0; step < 40; ++step) {
+    if (rng() % 3 == 0) {
+      current = seen[rng() % seen.size()];
+    } else {
+      const auto m = static_cast<MsId>(rng() % services);
+      const auto k = static_cast<NodeId>(first_node + rng() % nodes);
+      if (current.deployed(m, k)) {
+        current.remove(m, k);
+      } else {
+        current.deploy(m, k);
+      }
+      seen.push_back(current);
+    }
+    kernel.bind(warm, current);
+    ScoreKernel::Arena fresh;
+    KernelStats fresh_stats;
+    kernel.bind(fresh, current);
+    for (int i = 0; i < 2 * classes; ++i) {
+      const int c = static_cast<int>(rng() % classes);
+      const double memoized = kernel.class_cost(c, warm, stats);
+      const double computed = kernel.class_cost(c, fresh, fresh_stats);
+      // Bitwise, so a memo returning another key's total cannot hide
+      // behind a near-equal value.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(memoized),
+                std::bit_cast<std::uint64_t>(computed))
+          << "step " << step << " class " << c;
+    }
+  }
+}
+
+TEST(ScoreKernel, ClassCostMemoIsTransparent) {
+  Fixture fx(37, small_config(10, 80));
+  ScoreKernel kernel(fx.scenario);
+  ScoreKernel::Arena warm;
+  KernelStats stats;
+  expect_memo_transparent(fx.scenario, kernel, fx.pre.placement, 1, warm,
+                          stats);
+  EXPECT_GT(stats.cost_memo_hits, 0) << "the walk should revisit keys";
+
+  // Workload epoch bump through set_requests: the warm arena's entries
+  // belong to the old build and must never be served again.
+  const auto donor = make_scenario(small_config(10, 80), 98);
+  fx.scenario.set_requests(donor.requests());
+  ASSERT_TRUE(kernel.sync());
+  expect_memo_transparent(fx.scenario, kernel, fx.pre.placement, 2, warm,
+                          stats);
+
+  // And through set_network: a failed node changes compute rates and link
+  // delays under unchanged classes, so a stale entry would differ.
+  net::FailurePlan plan;
+  plan.failed_nodes = {fx.scenario.request(0).attach_node};
+  fx.scenario.set_network(net::apply_failures(fx.scenario.network(), plan));
+  ASSERT_TRUE(kernel.sync());
+  expect_memo_transparent(fx.scenario, kernel, fx.pre.placement, 3, warm,
+                          stats);
+
+  // The same arena handed to a second kernel (no delay tables) must not
+  // read the first kernel's entries either.
+  ScoreKernel untabled(fx.scenario, /*delay_table_budget_bytes=*/0);
+  expect_memo_transparent(fx.scenario, untabled, fx.pre.placement, 4, warm,
+                          stats);
+}
+
+// Past 64 nodes a node set spans several mask words; the key must compare
+// all of them. Every instance starts on a node past the first word and the
+// walk toggles nodes 60-69, so routes hinge on second-word bits.
+TEST(ScoreKernel, ClassCostMemoMultiWordMasks) {
+  Fixture fx(38, small_config(70, 40));
+  Placement high(fx.scenario);
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    high.deploy(m, static_cast<NodeId>(64 + m % 6));
+  }
+  ScoreKernel kernel(fx.scenario);
+  ScoreKernel::Arena warm;
+  KernelStats stats;
+  expect_memo_transparent(fx.scenario, kernel, high, 5, warm, stats,
+                          /*first_node=*/60);
+  EXPECT_GT(stats.cost_memo_hits, 0);
 }
 
 // The zero-allocation contract: once an arena has warmed up on a placement,
