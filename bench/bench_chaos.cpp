@@ -18,16 +18,22 @@
 // (the flag fully gates the lane). SOCL_BENCH_TINY shrinks the population;
 // SOCL_BENCH_CSV writes bench_chaos_<policy>.csv and bench_chaos_nochaos.csv
 // (CI byte-diffs the latter against bench_serving.csv).
-#include <cstdio>
-#include <fstream>
+//
+// The static drill closes the run: one-shot failure plans of rising
+// severity on a fixed 12-node scenario, each solved from scratch, and after
+// a 2-node failure the warm-start repair of core::OnlineSoCL against a full
+// re-solve. It is printed only and gates nothing.
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/online.h"
+#include "net/failures.h"
 #include "serve/serving_loop.h"
 #include "util/timer.h"
+#include "workload/mobility.h"
 
 namespace socl {
 namespace {
@@ -111,28 +117,12 @@ bool cross_check_clean(const serve::ServingReport& report,
   return clean;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 /// Gate 1: the chaotic day run twice must produce byte-identical CSVs —
 /// the whole lane (schedule, substrate swaps, re-homing, DES) is a pure
 /// function of (config, seed).
 bool determinism_gate(const serve::ServingConfig& config) {
-  const std::string path_a = "bench_chaos_det_a.csv";
-  const std::string path_b = "bench_chaos_det_b.csv";
-  serve::ServingLoop(config).run().write_csv(path_a);
-  serve::ServingLoop(config).run().write_csv(path_b);
-  const std::string a = slurp(path_a);
-  const bool identical = !a.empty() && a == slurp(path_b);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-  std::cout << "determinism gate (chaotic day run twice): "
-            << (identical ? "byte-identical" : "MISMATCH") << '\n';
-  return identical;
+  return bench::same_day_csv(config, config,
+                             "determinism gate (chaotic day run twice)");
 }
 
 /// Gate 3: the day is a real availability study, not a vacuously healthy
@@ -163,17 +153,96 @@ bool no_chaos_identity_gate(bool tiny) {
   off.cross_check = healthy.cross_check;
   off.chaos.enabled = false;
 
-  const std::string path_a = "bench_chaos_identity_healthy.csv";
-  const std::string path_b = "bench_chaos_identity_off.csv";
-  serve::ServingLoop(healthy).run().write_csv(path_a);
-  serve::ServingLoop(off).run().write_csv(path_b);
-  const std::string a = slurp(path_a);
-  const bool identical = !a.empty() && a == slurp(path_b);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-  std::cout << "no-chaos identity gate (chaos off vs healthy day CSV): "
-            << (identical ? "byte-identical" : "MISMATCH") << '\n';
-  return identical;
+  return bench::same_day_csv(
+      healthy, off, "no-chaos identity gate (chaos off vs healthy day CSV)");
+}
+
+/// The static drill: failure severity sweep on a fixed scenario, then
+/// warm-start recovery vs a full re-solve after a 2-node failure.
+void static_drill() {
+  const auto config = bench::paper_config(12, 50, 7000.0);
+  const auto healthy = core::make_scenario(config, 404);
+  const auto baseline = baselines::SoCLAlgorithm().solve(healthy);
+
+  // The degraded copy of `healthy` under `plan`. Displaced users re-attach
+  // (users on dead nodes AND users whose alive attach node lost its last
+  // usable link); `displaced` counts them.
+  const auto degrade = [&](const net::FailurePlan& plan, int& displaced) {
+    auto degraded_net = net::apply_failures(healthy.network(), plan);
+    auto requests = healthy.requests();
+    displaced =
+        workload::reattach_users(degraded_net, plan.failed_nodes, requests);
+    return core::Scenario(std::move(degraded_net), healthy.catalog(),
+                          std::move(requests), healthy.constants());
+  };
+
+  util::Table table({"failed_nodes", "failed_links", "objective",
+                     "vs_healthy", "mean_latency_s", "displaced_users",
+                     "feasible"});
+  table.row()
+      .integer(0)
+      .integer(0)
+      .num(baseline.evaluation.objective, 1)
+      .num(1.0, 3)
+      .num(baseline.evaluation.mean_latency, 3)
+      .integer(0)
+      .cell(baseline.evaluation.feasible() ? "yes" : "NO");
+  for (const auto& [node_failures, link_rate] :
+       std::vector<std::pair<int, double>>{
+           {0, 0.1}, {0, 0.25}, {1, 0.0}, {2, 0.0}, {2, 0.15}}) {
+    util::Rng rng(500 + static_cast<std::uint64_t>(node_failures * 100 +
+                                                   link_rate * 1000));
+    const auto plan = net::random_failures(healthy.network(), link_rate,
+                                           node_failures, rng);
+    int displaced = 0;
+    const core::Scenario degraded = degrade(plan, displaced);
+    const auto solution = baselines::SoCLAlgorithm().solve(degraded);
+    table.row()
+        .integer(static_cast<long long>(plan.failed_nodes.size()))
+        .integer(static_cast<long long>(plan.failed_links.size()))
+        .num(solution.evaluation.objective, 1)
+        .num(solution.evaluation.objective / baseline.evaluation.objective, 3)
+        .num(solution.evaluation.mean_latency, 3)
+        .integer(displaced)
+        .cell(solution.evaluation.feasible() ? "yes" : "NO");
+  }
+  table.print(std::cout);
+
+  // Recovery: prime the controller on the healthy network, then hit it with
+  // the degraded slot. Failed nodes are husks (zero storage), so the warm
+  // repair must migrate their instances away.
+  util::Rng rng(911);
+  int displaced = 0;
+  const core::Scenario degraded =
+      degrade(net::random_failures(healthy.network(), 0.0, 2, rng), displaced);
+  core::OnlineSoCL online;
+  online.step(healthy);
+  core::OnlineStepStats stats;
+  const auto warm = online.step(degraded, &stats);
+  const auto fresh = baselines::SoCLAlgorithm().solve(degraded);
+  util::Table recovery({"recovery", "objective", "runtime_ms", "churn",
+                        "feasible"});
+  recovery.row()
+      .cell("warm-start repair")
+      .num(warm.evaluation.objective, 1)
+      .num(warm.runtime_seconds * 1e3, 1)
+      .integer(stats.churn)
+      .cell(warm.evaluation.feasible() ? "yes" : "NO");
+  recovery.row()
+      .cell("full re-solve")
+      .num(fresh.evaluation.objective, 1)
+      .num(fresh.runtime_seconds * 1e3, 1)
+      .cell("-")
+      .cell(fresh.evaluation.feasible() ? "yes" : "NO");
+  std::cout << "\nrecovery after a 2-node failure\n";
+  recovery.print(std::cout);
+  std::cout << "\nExpected shape: budget/storage feasibility holds at every "
+               "severity and the objective\ndegrades sub-linearly while "
+               "survivors stay connected; at the harshest severities\nsome "
+               "deadlines calibrated on the healthy substrate become "
+               "physically unmeetable\n(the feasible column reports it "
+               "honestly). Warm-start repair recovers most of the\nfull "
+               "re-solve's quality at a fraction of the decision latency.\n";
 }
 
 }  // namespace
@@ -240,6 +309,11 @@ int run(bool check) {
     serve::ServingLoop(off).run().write_csv("bench_chaos_nochaos.csv");
     std::cout << "(csv written to bench_chaos_nochaos.csv)\n";
   }
+
+  bench::banner("Static failure drill",
+                "objective/latency degradation under one-shot failures (12 "
+                "nodes, 50 users) and warm-start recovery");
+  static_drill();
 
   bool ok = true;
   for (std::size_t p = 0; p < reports.size(); ++p) {

@@ -58,6 +58,19 @@ inline serve::ServingConfig serving_day_config(bool tiny) {
   return config;
 }
 
+/// Serves day `a` and day `b` and byte-compares their per-slot CSVs.
+/// Prints "<label>: byte-identical" or "<label>: MISMATCH".
+inline bool same_day_csv(const serve::ServingConfig& a,
+                         const serve::ServingConfig& b,
+                         const std::string& label) {
+  const std::string csv_a = serve::ServingLoop(a).run().to_csv();
+  const bool identical =
+      !csv_a.empty() && csv_a == serve::ServingLoop(b).run().to_csv();
+  std::cout << label << ": " << (identical ? "byte-identical" : "MISMATCH")
+            << '\n';
+  return identical;
+}
+
 /// Prints the figure header banner.
 inline void banner(const std::string& figure, const std::string& caption) {
   std::cout << "==============================================================="

@@ -9,7 +9,7 @@
 // slots even though individual users churn, so most slots carry the
 // placement instead of re-solving.
 //
-// Part 2 is the sharded head-to-head (ISSUE 9): the same multi-metro day —
+// Part 2 is the sharded head-to-head: the same multi-metro day —
 // cross-metro commuters re-homing between shards — served once through the
 // single-address-space OnlineSoCL replan rung and once through the
 // geo-sharded coordinator (shard::ShardedSoCL::step, per-metro warm rungs at
@@ -19,15 +19,19 @@
 // on every sharded slot, and a 1-metro sharded day whose CSV is
 // byte-identical to the unsharded loop's.
 //
+// Part 3 is the warm-vs-full table: a compact day served under the default
+// ladder, with a replan every slot, and with a full re-solve every slot —
+// what the warm-started controller saves in control time and churn, and
+// what it gives up in objective. It is printed only.
+//
 // SOCL_BENCH_TINY shrinks the population to smoke-test size (CI runs it
 // twice and diffs the CSVs for bit-identical determinism); SOCL_BENCH_CSV
 // writes the per-slot series to bench_serving.csv (legacy day) and
 // bench_serving_sharded.csv (sharded multi-metro day).
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench_common.h"
 #include "serve/serving_loop.h"
@@ -36,18 +40,13 @@
 namespace socl {
 namespace {
 
-serve::ServingConfig day_config(bool tiny) {
-  // Shared with bench_chaos (no-chaos identity gate) — see bench_common.h.
-  return bench::serving_day_config(tiny);
-}
-
 /// The multi-metro day of the head-to-head: same knobs as the legacy day,
 /// the substrate swapped for `metros` stitched metros and a cross-metro
 /// re-homing process layered on the mobility churn. The budget scales with
 /// the metro count: each shard must cover its own used microservices, so
 /// the decomposition's coverage floor is ~metros × the single-metro one.
 serve::ServingConfig metro_config(bool tiny, int metros) {
-  serve::ServingConfig config = day_config(tiny);
+  serve::ServingConfig config = bench::serving_day_config(tiny);
   config.metros = metros;
   config.scenario.num_nodes = tiny ? 6 : 8;  // per metro
   config.scenario.constants.budget = 6500.0 * metros;
@@ -58,8 +57,8 @@ serve::ServingConfig metro_config(bool tiny, int metros) {
 
 void print_day(const serve::ServingReport& report) {
   util::Table table({"slot", "mode", "classes", "recomp", "moved%", "churn",
-                     "prewarm", "requests", "slo", "cold_rate", "shards",
-                     "repriced", "control_ms"});
+                     "prewarm", "requests", "slo", "cold_rate", "intensity",
+                     "shards", "repriced", "control_ms"});
   for (const serve::SlotReport& slot : report.slots) {
     table.row()
         .integer(slot.slot)
@@ -72,6 +71,7 @@ void print_day(const serve::ServingReport& report) {
         .integer(slot.requests_completed)
         .num(slot.slo_attainment, 4)
         .num(slot.cold_start_rate, 4)
+        .num(slot.arrival_intensity, 3)
         .integer(slot.shards_resolved)
         .integer(slot.repriced ? 1 : 0)
         .num(slot.control_s * 1e3, 2);
@@ -94,83 +94,93 @@ bool cross_check_clean(const serve::ServingReport& report,
   return clean;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+/// The compact day of the identity lane and the warm-vs-full table.
+/// Exactness does not depend on scale, so it stays compact in full mode too.
+serve::ServingConfig compact_day_config() {
+  serve::ServingConfig config;
+  config.scenario.num_nodes = 8;
+  config.scenario.num_users = 30;
+  config.population = 2000;
+  config.slots = 12;
+  config.slot_horizon_s = 6.0;
+  config.arrivals.mean_rate = 0.05;
+  config.mobility.move_prob = 0.3;
+  config.drift_prob = 0.02;
+  config.full_replan_period = 8;
+  config.seed = 2026;
+  return config;
 }
 
 /// The identity lane: a compact 1-metro day served unsharded and sharded
 /// must produce byte-identical CSVs (the trivial plan short-circuits at
-/// μ = 0 and the warm rung is the legacy OnlineSoCL). Exactness does not
-/// depend on scale, so the lane stays compact in full mode too.
+/// μ = 0 and the warm rung is the legacy OnlineSoCL).
 bool identity_lane() {
-  serve::ServingConfig base;
-  base.scenario.num_nodes = 8;
-  base.scenario.num_users = 30;
-  base.population = 2000;
-  base.slots = 12;
-  base.slot_horizon_s = 6.0;
-  base.arrivals.mean_rate = 0.05;
-  base.mobility.move_prob = 0.3;
-  base.drift_prob = 0.02;
-  base.full_replan_period = 8;
-  base.seed = 2026;
+  serve::ServingConfig base = compact_day_config();
   base.metros = 1;
   serve::ServingConfig sharded = base;
   sharded.sharded = true;
+  return bench::same_day_csv(
+      base, sharded, "identity lane (1 metro, sharded vs unsharded CSV)");
+}
 
-  const std::string path_a = "bench_serving_identity_unsharded.csv";
-  const std::string path_b = "bench_serving_identity_sharded.csv";
-  serve::ServingLoop(base).run().write_csv(path_a);
-  serve::ServingLoop(sharded).run().write_csv(path_b);
-  const std::string a = slurp(path_a);
-  const bool identical = !a.empty() && a == slurp(path_b);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-  std::cout << "identity lane (1 metro, sharded vs unsharded CSV): "
-            << (identical ? "byte-identical" : "MISMATCH") << '\n';
-  return identical;
+/// Warm-started control vs replanning and full re-solves on the compact
+/// day: the default ladder, a replan every slot (warm OnlineSoCL step), and
+/// a full SoCL re-solve every slot.
+void warm_vs_full_table() {
+  serve::ServingConfig ladder = compact_day_config();
+  serve::ServingConfig replan = ladder;
+  replan.full_replan_period = 1;
+  serve::ServingConfig resolve = replan;
+  resolve.online.full_resolve_period = 1;
+
+  util::Table table({"controller", "replans", "mean_objective",
+                     "mean_control_ms", "mean_churn", "max_churn",
+                     "prewarm_hits", "cold_rate", "slo"});
+  for (const auto& [name, config] :
+       {std::pair{"default ladder", &ladder},
+        std::pair{"replan every slot", &replan},
+        std::pair{"full re-solve every slot", &resolve}}) {
+    const serve::ServingReport report = serve::ServingLoop(*config).run();
+    double objective = 0.0;
+    int max_churn = 0;
+    for (const serve::SlotReport& slot : report.slots) {
+      objective += slot.objective;
+      max_churn = std::max(max_churn, slot.placement_churn);
+    }
+    const auto slots = static_cast<double>(report.slots.size());
+    table.row()
+        .cell(name)
+        .integer(report.replans)
+        .num(objective / slots, 1)
+        .num(report.control_s_total / slots * 1e3, 2)
+        .num(report.churn_instances / slots, 2)
+        .integer(max_churn)
+        .integer(report.prewarm_ahead_hits)
+        .num(report.cold_start_rate(), 4)
+        .num(report.slo_attainment(), 4);
+  }
+  table.print(std::cout);
+  std::cout << "\nExpected shape: the default ladder spends the least control "
+               "time and churn and\ncarries the highest objective; warm "
+               "replans every slot lower the objective at\nabout 10x the "
+               "control time; full re-solves every slot reach the lowest "
+               "objective\nbut churn an order of magnitude more instances, "
+               "which the cold rate pays for.\n";
 }
 
 }  // namespace
 
 int run(bool check) {
   const bool tiny = bench::tiny_mode();
-  const serve::ServingConfig config = day_config(tiny);
+  const serve::ServingConfig config = bench::serving_day_config(tiny);
   bench::banner("Serving day",
                 "online control plane over a diurnal day, population " +
                     std::to_string(config.population) + " users, " +
                     std::to_string(config.slots) + " slots");
 
   util::WallTimer timer;
-  serve::ServingLoop loop(config);
-  util::Table table({"slot", "mode", "classes", "recomp", "moved%", "churn",
-                     "prewarm", "requests", "slo", "cold_rate", "intensity",
-                     "control_ms"});
-  serve::ServingReport report;
-  for (int s = 0; s < config.slots; ++s) {
-    const serve::SlotReport slot = loop.step();
-    table.row()
-        .integer(slot.slot)
-        .cell(serve::slot_mode_name(slot.mode))
-        .integer(slot.classes)
-        .integer(slot.classes_recomputed)
-        .num(100.0 * slot.moved_weight_fraction, 2)
-        .integer(slot.placement_churn)
-        .integer(slot.prewarm_ahead_hits)
-        .integer(slot.requests_completed)
-        .num(slot.slo_attainment, 4)
-        .num(slot.cold_start_rate, 4)
-        .num(slot.arrival_intensity, 3)
-        .num(slot.control_s * 1e3, 2);
-  }
-  table.print(std::cout);
-
-  // Re-fetch the cumulative report from the loop (run() returns the
-  // accumulated state; the loop already consumed every slot).
-  report = loop.run();
+  const serve::ServingReport report = serve::ServingLoop(config).run();
+  print_day(report);
   std::cout << "\nday summary: " << report.summary() << '\n'
             << "control plane total: " << report.control_s_total << " s, "
             << "wall total: " << timer.elapsed_seconds() << " s\n";
@@ -220,6 +230,12 @@ int run(bool check) {
     sharded.write_csv("bench_serving_sharded.csv");
     std::cout << "(csv written to bench_serving_sharded.csv)\n";
   }
+
+  // ---- Part 3: warm-started control vs replanning and full re-solves.
+  bench::banner("Warm vs full",
+                "compact day (8 nodes, 30 templates, 2000 users, 12 slots): "
+                "default ladder vs replan / full re-solve every slot");
+  warm_vs_full_table();
 
   // The gated claims are the sharded ones: a violation-free, cross-check
   // clean sharded day and the 1-metro identity. The unsharded control lane

@@ -51,9 +51,12 @@ class OnlineSoCL {
  public:
   explicit OnlineSoCL(OnlineParams params = {}) : params_(std::move(params)) {}
 
-  /// Provisioning decision for the current slot's scenario. The scenario's
-  /// network and catalog must stay fixed across calls; requests may change
-  /// arbitrarily (mobility, fresh chains).
+  /// Provisioning decision for the current slot's scenario. Node ids and
+  /// the catalog must stay fixed across calls. Links and node capacities
+  /// may change (a failed node is a zero-storage husk, so the storage
+  /// repair moves its instances away), and requests may change arbitrarily
+  /// (mobility, fresh chains). A warm repair that ends infeasible falls
+  /// back to a full solve.
   Solution step(const Scenario& scenario, OnlineStepStats* stats = nullptr);
 
   /// Forgets the carried placement (e.g. after a topology change).

@@ -80,6 +80,60 @@ core::Scenario make_serving_scenario(const ServingConfig& config,
                         config.scenario.constants);
 }
 
+/// The per-slot CSV series (deterministic columns only — no wall-clock).
+util::Table csv_table(const ServingReport& report) {
+  // The chaos columns are appended only on chaotic days: with chaos
+  // disabled the CSV stays byte-identical to the pre-chaos serving CSV
+  // (the no-chaos identity gate in bench_chaos pins this).
+  std::vector<std::string> columns = {
+      "slot", "mode", "classes", "recomputed", "carried",
+      "moved_weight_frac", "objective", "deploy_cost",
+      "mean_latency_s", "churn", "churn_cost", "prewarm_hits",
+      "invocations", "requests", "slo_met", "cold_serves",
+      "slo_attainment",
+      "cold_start_rate", "intensity", "demand_fingerprint",
+      "validator_violations", "full_reroute_matches"};
+  if (report.chaos) {
+    columns.insert(columns.end(),
+                   {"failed_nodes", "failed_links", "users_rehomed",
+                    "flash_multiplier", "substrate_changed"});
+  }
+  util::Table table(columns);
+  for (const SlotReport& s : report.slots) {
+    util::Table& row = table.row();
+    row.integer(s.slot)
+        .cell(slot_mode_name(s.mode))
+        .integer(s.classes)
+        .integer(s.classes_recomputed)
+        .integer(s.classes_carried)
+        .num(s.moved_weight_fraction, 6)
+        .num(s.objective, 6)
+        .num(s.deployment_cost, 3)
+        .num(s.mean_latency_s, 6)
+        .integer(s.placement_churn)
+        .num(s.churn_cost, 3)
+        .integer(s.prewarm_ahead_hits)
+        .integer(s.invocations)
+        .integer(s.requests_completed)
+        .integer(s.slo_met)
+        .integer(s.cold_serves)
+        .num(s.slo_attainment, 6)
+        .num(s.cold_start_rate, 6)
+        .num(s.arrival_intensity, 6)
+        .cell(std::to_string(s.demand_fingerprint))
+        .integer(s.validator_violations)
+        .integer(s.full_reroute_matches ? 1 : 0);
+    if (report.chaos) {
+      row.integer(s.failed_nodes)
+          .integer(s.failed_links)
+          .integer(s.users_rehomed)
+          .num(s.flash_multiplier, 3)
+          .integer(s.substrate_changed ? 1 : 0);
+    }
+  }
+  return table;
+}
+
 }  // namespace
 
 const char* slot_mode_name(SlotMode mode) {
@@ -115,57 +169,12 @@ double ServingReport::degraded_slo_attainment() const {
                                : 1.0;
 }
 
+std::string ServingReport::to_csv() const {
+  return csv_table(*this).to_csv();
+}
+
 void ServingReport::write_csv(const std::string& path) const {
-  // The chaos columns are appended only on chaotic days: with chaos
-  // disabled the CSV stays byte-identical to the pre-chaos serving CSV
-  // (the no-chaos identity gate in bench_chaos pins this).
-  std::vector<std::string> columns = {
-      "slot", "mode", "classes", "recomputed", "carried",
-      "moved_weight_frac", "objective", "deploy_cost",
-      "mean_latency_s", "churn", "churn_cost", "prewarm_hits",
-      "invocations", "requests", "slo_met", "cold_serves",
-      "slo_attainment",
-      "cold_start_rate", "intensity", "demand_fingerprint",
-      "validator_violations", "full_reroute_matches"};
-  if (chaos) {
-    columns.insert(columns.end(),
-                   {"failed_nodes", "failed_links", "users_rehomed",
-                    "flash_multiplier", "substrate_changed"});
-  }
-  util::Table table(columns);
-  for (const SlotReport& s : slots) {
-    util::Table& row = table.row();
-    row.integer(s.slot)
-        .cell(slot_mode_name(s.mode))
-        .integer(s.classes)
-        .integer(s.classes_recomputed)
-        .integer(s.classes_carried)
-        .num(s.moved_weight_fraction, 6)
-        .num(s.objective, 6)
-        .num(s.deployment_cost, 3)
-        .num(s.mean_latency_s, 6)
-        .integer(s.placement_churn)
-        .num(s.churn_cost, 3)
-        .integer(s.prewarm_ahead_hits)
-        .integer(s.invocations)
-        .integer(s.requests_completed)
-        .integer(s.slo_met)
-        .integer(s.cold_serves)
-        .num(s.slo_attainment, 6)
-        .num(s.cold_start_rate, 6)
-        .num(s.arrival_intensity, 6)
-        .cell(std::to_string(s.demand_fingerprint))
-        .integer(s.validator_violations)
-        .integer(s.full_reroute_matches ? 1 : 0);
-    if (chaos) {
-      row.integer(s.failed_nodes)
-          .integer(s.failed_links)
-          .integer(s.users_rehomed)
-          .num(s.flash_multiplier, 3)
-          .integer(s.substrate_changed ? 1 : 0);
-    }
-  }
-  table.write_csv(path);
+  csv_table(*this).write_csv(path);
 }
 
 std::string ServingReport::summary() const {
@@ -294,7 +303,6 @@ void ServingLoop::rebuild_sharded() {
   shard::ShardedParams sp = config_.shard;
   sp.solver = config_.online.socl;
   sp.online = config_.online;
-  sp.warm_serving = true;
   sp.sink = config_.sink;
   sharded_ = std::make_unique<shard::ShardedSoCL>(
       scenario_, shard::plan_from_metros(metro_of_, config_.metros), sp);
@@ -590,7 +598,7 @@ SlotReport ServingLoop::step() {
         validator.validate(placement_, assignment_).violations.size());
   }
 
-  // Data plane: one DES window under the slot's placement. Instances the
+  // Data plane: DES windows under the slot's placement. Instances the
   // replan added boot cold unless the previous slot's quota snapshot
   // predicted them (prewarm-ahead): those join the carried set and open
   // warm, modelling warm-up commands issued before rollout.
@@ -603,7 +611,7 @@ SlotReport ServingLoop::step() {
     arrival_config.seed =
         config_.seed ^
         (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
-    const auto arrivals =
+    auto arrivals =
         serverless::generate_arrivals(scenario_.num_users(), arrival_config);
 
     serverless::ServerlessConfig runtime_config = config_.runtime;
@@ -611,7 +619,7 @@ SlotReport ServingLoop::step() {
     const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
 
     core::Placement carried = previous_placement_;
-    if (have_previous_ && config_.prewarm_ahead) {
+    if (have_previous_) {
       const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
       for (const auto& [m, k] : delta.added) {
         const std::size_t idx =
@@ -633,57 +641,47 @@ SlotReport ServingLoop::step() {
         }
       }
     }
-    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+    // One DES window per arrival group. Sharded, each metro's control
+    // plane simulates its own serverless pools over its residents' slice of
+    // the global stream (split preserves order and per-user streams); a
+    // rare backhaul-crossing route invokes the remote instance under the
+    // caller metro's pool, modelling per-region serverless scaling.
+    // Unsharded, the whole stream is group 0. Group 0's seed is des_seed, so
+    // the one-metro split reproduces the unsharded window verbatim.
+    std::vector<std::vector<serverless::Arrival>> groups;
     if (sharded_ != nullptr) {
-      // Per-metro serverless pools: each metro's control plane simulates
-      // its own DES window over its residents' slice of the global arrival
-      // stream (split preserves order and per-user streams, so the
-      // one-metro split is the unsharded stream verbatim). Metro 0 keeps
-      // the legacy seed; pool state is per run — a rare backhaul-crossing
-      // route invokes the remote instance under the caller metro's pool,
-      // modelling per-region serverless scaling.
       std::vector<int> user_metro(
           static_cast<std::size_t>(scenario_.num_users()), 0);
       for (int h = 0; h < scenario_.num_users(); ++h) {
         user_metro[static_cast<std::size_t>(h)] = metro_of_[
             static_cast<std::size_t>(scenario_.request(h).attach_node)];
       }
-      const auto groups = serverless::split_arrivals(
-          arrivals, user_metro, std::max(1, config_.metros));
-      for (int m = 0; m < std::max(1, config_.metros); ++m) {
-        const std::uint64_t metro_seed =
-            des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(m));
-        const auto metrics = runtime.run(
-            placement_, assignment_, groups[static_cast<std::size_t>(m)],
-            policy, metro_seed, have_previous_ ? &carried : nullptr);
-        report.invocations += metrics.totals.invocations;
-        report.cold_serves += metrics.totals.cold_serves;
-        report.requests_completed +=
-            static_cast<std::int64_t>(metrics.requests.size());
-        for (const serverless::RequestOutcome& outcome : metrics.requests) {
-          if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
-            ++report.slo_met;
-          }
-        }
-        if (config_.sink != nullptr && metrics.totals.invocations > 0) {
-          config_.sink->observe(
-              "socl.serve.shard.metro_cold_rate",
-              static_cast<double>(metrics.totals.cold_serves) /
-                  static_cast<double>(metrics.totals.invocations));
-        }
-      }
+      groups = serverless::split_arrivals(arrivals, user_metro,
+                                          std::max(1, config_.metros));
     } else {
-      const auto metrics =
-          runtime.run(placement_, assignment_, arrivals, policy, des_seed,
-                      have_previous_ ? &carried : nullptr);
-      report.invocations = metrics.totals.invocations;
-      report.cold_serves = metrics.totals.cold_serves;
-      report.requests_completed =
+      groups.push_back(std::move(arrivals));
+    }
+    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const auto metrics = runtime.run(
+          placement_, assignment_, groups[g], policy,
+          des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(g)),
+          have_previous_ ? &carried : nullptr);
+      report.invocations += metrics.totals.invocations;
+      report.cold_serves += metrics.totals.cold_serves;
+      report.requests_completed +=
           static_cast<std::int64_t>(metrics.requests.size());
       for (const serverless::RequestOutcome& outcome : metrics.requests) {
         if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
           ++report.slo_met;
         }
+      }
+      if (sharded_ != nullptr && config_.sink != nullptr &&
+          metrics.totals.invocations > 0) {
+        config_.sink->observe(
+            "socl.serve.shard.metro_cold_rate",
+            static_cast<double>(metrics.totals.cold_serves) /
+                static_cast<double>(metrics.totals.invocations));
       }
     }
     report.slo_attainment =

@@ -103,8 +103,9 @@ struct ServingConfig {
   /// windows. Requires metros >= 1. With one metro the day is byte-identical
   /// to the unsharded loop (test_serving pins it via CSV diff).
   bool sharded = false;
-  /// Coordinator knobs for sharded mode. `solver`, `online`, warm_serving,
-  /// and sink are overridden from this config (single source of truth).
+  /// Coordinator knobs for sharded mode. Its `solver`, `online` and `sink`
+  /// fields are overridden from this config's `online.socl`, `online` and
+  /// `sink` (single source of truth).
   shard::ShardedParams shard;
   /// Aggregated users actually served (replicate_requests over the template
   /// workload; 0 keeps the template count). Request-class aggregation keeps
@@ -134,9 +135,6 @@ struct ServingConfig {
   serverless::ArrivalConfig arrivals;
   /// Scales the day profile's deviation from flat (0 = homogeneous slots).
   double diurnal_amplitude = 1.0;
-  /// Pre-warm instances of the next slot's placement from the Alg. 2 quota
-  /// snapshot, so predicted rollouts open warm instead of booting cold.
-  bool prewarm_ahead = true;
   /// Cross-check lane: every slot, re-route each class through the SoA
   /// scoring kernel, require every user's route (and the latency total) to
   /// equal the live pass bit for bit, and run the independent constraint
@@ -258,6 +256,7 @@ struct ServingReport {
   double recompute_fraction() const;
 
   /// Per-slot CSV series (deterministic columns only — no wall-clock).
+  std::string to_csv() const;
   void write_csv(const std::string& path) const;
   std::string summary() const;
 };

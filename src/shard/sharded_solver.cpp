@@ -14,6 +14,10 @@ namespace socl::shard {
 
 namespace {
 
+/// The price search stops when the complementary-slackness gap
+/// μ·(K − spend)/|primal| of the accepted feasible iterate falls below this.
+constexpr double kGapTolerance = 0.02;
+
 /// λ' = (λ+μ)/(1+μ): the objective weight under which a plain SoCL solve
 /// minimises the μ-priced Lagrangian term (1+μ)·[λ'·cost + (1-λ')·w·lat] =
 /// (λ+μ)·cost + (1-λ)·w·lat. The latency weight is untouched (the algebra
@@ -36,6 +40,31 @@ core::Solution empty_solution(const core::Scenario& scenario) {
   empty.evaluation.within_budget = true;
   empty.evaluation.storage_ok = true;
   return empty;
+}
+
+/// Shard-order sums over the per-shard solutions of one iterate.
+struct IterateTotals {
+  double spend = 0.0;
+  double latency = 0.0;
+  bool routable = true;
+  bool storage_ok = true;
+
+  /// True-λ objective λ·spend + (1−λ)·w·latency of the recombined iterate.
+  double primal(const core::ProblemConstants& base) const {
+    return base.lambda * spend +
+           (1.0 - base.lambda) * base.latency_weight * latency;
+  }
+};
+
+IterateTotals totals(const std::vector<core::Solution>& solutions) {
+  IterateTotals sum;
+  for (const core::Solution& solution : solutions) {
+    sum.spend += solution.evaluation.deployment_cost;
+    sum.latency += solution.evaluation.total_latency;
+    sum.routable = sum.routable && solution.evaluation.routable;
+    sum.storage_ok = sum.storage_ok && solution.evaluation.storage_ok;
+  }
+  return sum;
 }
 
 /// Complementary-slackness gap of a feasible iterate accepted at price μ:
@@ -124,8 +153,25 @@ ShardedSoCL::ShardedSoCL(const core::Scenario& global, const ShardPlan& plan,
   }
 }
 
-void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
-                                   double price,
+core::SoCLParams ShardedSoCL::shard_solver_params() const {
+  core::SoCLParams params = params_.solver;
+  params.sink = nullptr;  // coordination metrics are emitted once
+  if (params_.shard_threads > 0) {
+    params.combination.threads = params_.shard_threads;
+  }
+  return params;
+}
+
+void ShardedSoCL::set_shard_constants(std::size_t s, double price,
+                                      const std::vector<double>* quotas) {
+  const core::ProblemConstants& base = global_->constants();
+  core::ProblemConstants constants =
+      quotas != nullptr ? base : priced_constants(base, price);
+  if (quotas != nullptr) constants.budget = (*quotas)[s];
+  shards_[s].scenario().set_constants(constants);
+}
+
+void ShardedSoCL::solve_all_shards(double price,
                                    const std::vector<double>* quotas,
                                    std::vector<core::Solution>& out,
                                    std::vector<double>& solve_s) {
@@ -155,24 +201,14 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
                    });
   solve_s.assign(shards, 0.0);
 
-  core::SoCLParams shard_params = params_.solver;
-  shard_params.sink = nullptr;  // coordination metrics are emitted once
-  if (params_.shard_threads > 0) {
-    shard_params.combination.threads = params_.shard_threads;
-  }
-
+  const core::SoCLParams shard_params = shard_solver_params();
   util::ThreadPool pool(static_cast<std::size_t>(
       params_.threads > 0 ? params_.threads : 0));
   pool.parallel_for(shards, [&](std::size_t i) {
     const std::size_t s = order[i];
     ShardProblem& shard = shards_[s];
     if (shard.num_users() == 0) return;  // placeholder is the answer
-    core::ProblemConstants constants =
-        quotas != nullptr ? base : priced_constants(base, price);
-    if (quotas != nullptr) {
-      constants.budget = (*quotas)[s];
-    }
-    shard.scenario().set_constants(constants);
+    set_shard_constants(s, price, quotas);
     util::WallTimer timer;
     out[s] = core::SoCL(shard_params).solve(shard.scenario());
     solve_s[s] = timer.elapsed_seconds();
@@ -200,7 +236,7 @@ ShardedSolution ShardedSoCL::solve() {
   // Restart the diminishing-step schedule at the resumed price: without
   // the reset a mid-day re-price would continue at initial_step/(1+t_old)
   // — near zero after a converged solve — and stall below the new
-  // clearing price (the DualState satellite fix of ISSUE 9).
+  // clearing price.
   dual_.initial_step = params_.initial_step;
   dual_.reset(price);
   price_trajectory_.clear();
@@ -226,25 +262,16 @@ ShardedSolution ShardedSoCL::solve() {
 
   const int cap = std::max(1, params_.max_iterations);
   for (int t = 0; t < cap; ++t) {
-    solve_all_shards(base, price, nullptr, iterate, iterate_s);
+    solve_all_shards(price, nullptr, iterate, iterate_s);
     ++iterations;
 
-    double spend = 0.0;
-    double latency = 0.0;
-    bool routable = true;
-    bool storage = true;
-    for (const auto& solution : iterate) {
-      spend += solution.evaluation.deployment_cost;
-      latency += solution.evaluation.total_latency;
-      routable = routable && solution.evaluation.routable;
-      storage = storage && solution.evaluation.storage_ok;
-    }
+    const IterateTotals sum = totals(iterate);
+    const double spend = sum.spend;
     // True-λ objective of this iterate. Exact for the recombined global
     // solution: per-shard routing equals global routing restricted to the
     // shard (single-gateway backhaul keeps intra-shard min-hop paths
     // inside the shard), so latencies add up with no cross terms.
-    const double primal =
-        base.lambda * spend + (1.0 - base.lambda) * base.latency_weight * latency;
+    const double primal = sum.primal(base);
     price_trajectory_.push_back(price);
     spend_trajectory_.push_back(spend);
 
@@ -254,8 +281,8 @@ ShardedSolution ShardedSoCL::solve() {
     // even under budget. Raising μ pushes λ' toward cost-minimisation,
     // shedding replicas until the shard fits — the same price clears both
     // capacity constraints.
-    const bool feasible =
-        routable && storage && spend <= budget + 1e-9 * std::max(1.0, budget);
+    const bool feasible = sum.routable && sum.storage_ok &&
+                          spend <= budget + 1e-9 * std::max(1.0, budget);
     if (feasible) {
       feasible_above = std::min(feasible_above, price);
       if (primal < best_primal) {
@@ -285,7 +312,7 @@ ShardedSolution ShardedSoCL::solve() {
     }
     if (have_feasible &&
         slackness_gap(accepted_price, accepted_spend, budget, best_primal) <=
-            params_.gap_tolerance) {
+            kGapTolerance) {
       converged = true;
       stop = "socl.shard.stop.certificate";
       break;
@@ -331,18 +358,11 @@ ShardedSolution ShardedSoCL::solve() {
       demands[s] = iterate[s].evaluation.deployment_cost;
     }
     quotas_ = negotiate_quotas(budget, floors, demands);
-    solve_all_shards(base, 0.0, &*quotas_, iterate, iterate_s);
+    solve_all_shards(0.0, &*quotas_, iterate, iterate_s);
     accepted = std::move(iterate);
     accepted_s = std::move(iterate_s);
     accepted_price = price;
-    double primal = 0.0;
-    double spend = 0.0;
-    for (const auto& solution : accepted) {
-      spend += solution.evaluation.deployment_cost;
-      primal += solution.evaluation.total_latency;
-    }
-    best_primal =
-        base.lambda * spend + (1.0 - base.lambda) * base.latency_weight * primal;
+    best_primal = totals(accepted).primal(base);
   } else if (!have_feasible) {
     best_primal = std::numeric_limits<double>::infinity();
   }
@@ -361,13 +381,9 @@ ShardedSolution ShardedSoCL::solve() {
     duality_gap_ =
         slackness_gap(accepted_price, accepted_spend, budget, best_primal);
   }
-  spend_at_price_ = 0.0;
-  storage_ok_at_price_ = true;
-  for (const auto& solution : current_) {
-    spend_at_price_ += solution.evaluation.deployment_cost;
-    storage_ok_at_price_ =
-        storage_ok_at_price_ && solution.evaluation.storage_ok;
-  }
+  const IterateTotals accepted_totals = totals(current_);
+  spend_at_price_ = accepted_totals.spend;
+  storage_ok_at_price_ = accepted_totals.storage_ok;
   solved_ = true;
   reseed_rungs();
 
@@ -378,14 +394,9 @@ ShardedSolution ShardedSoCL::solve() {
 }
 
 void ShardedSoCL::reseed_rungs() {
-  if (!params_.warm_serving) return;
   if (online_rungs_.empty()) {
     core::OnlineParams rung = params_.online;
-    rung.socl = params_.solver;
-    rung.socl.sink = nullptr;  // coordination metrics are emitted once
-    if (params_.shard_threads > 0) {
-      rung.socl.combination.threads = params_.shard_threads;
-    }
+    rung.socl = shard_solver_params();
     online_rungs_.assign(shards_.size(), core::OnlineSoCL(rung));
   }
   // Each rung carries the coordinated solve's accepted placement as if one
@@ -397,35 +408,19 @@ void ShardedSoCL::reseed_rungs() {
 }
 
 void ShardedSoCL::resolve_shard(int s) {
-  const core::ProblemConstants base = global_->constants();
-  ShardProblem& shard = shards_[static_cast<std::size_t>(s)];
+  const auto i = static_cast<std::size_t>(s);
+  ShardProblem& shard = shards_[i];
   if (shard.num_users() == 0) {
-    current_[static_cast<std::size_t>(s)] = empty_solution(shard.scenario());
-    current_solve_s_[static_cast<std::size_t>(s)] = 0.0;
+    current_[i] = empty_solution(shard.scenario());
+    current_solve_s_[i] = 0.0;
     return;
   }
-  core::ProblemConstants constants =
-      quotas_ ? base : priced_constants(base, price_);
-  if (quotas_) {
-    constants.budget = (*quotas_)[static_cast<std::size_t>(s)];
-  }
-  shard.scenario().set_constants(constants);
+  set_shard_constants(i, price_, quotas_ ? &*quotas_ : nullptr);
+  // Warm rung: repair + polish of the shard's carried placement at the
+  // frozen price — the serving ladder's per-shard incremental rung.
   util::WallTimer timer;
-  if (params_.warm_serving && !online_rungs_.empty()) {
-    // Warm rung: repair + polish of the shard's carried placement at the
-    // frozen price — the serving ladder's per-shard incremental rung.
-    current_[static_cast<std::size_t>(s)] =
-        online_rungs_[static_cast<std::size_t>(s)].step(shard.scenario());
-  } else {
-    core::SoCLParams shard_params = params_.solver;
-    shard_params.sink = nullptr;
-    if (params_.shard_threads > 0) {
-      shard_params.combination.threads = params_.shard_threads;
-    }
-    current_[static_cast<std::size_t>(s)] =
-        core::SoCL(shard_params).solve(shard.scenario());
-  }
-  current_solve_s_[static_cast<std::size_t>(s)] = timer.elapsed_seconds();
+  current_[i] = online_rungs_[i].step(shard.scenario());
+  current_solve_s_[i] = timer.elapsed_seconds();
 }
 
 ShardedSoCL::StepReport ShardedSoCL::step(
@@ -446,13 +441,9 @@ ShardedSoCL::StepReport ShardedSoCL::step(
   obs::add_counter(params_.sink, "socl.shard.shards_resolved", resolved);
 
   const double budget = global_->constants().budget;
-  double spend = 0.0;
-  bool storage_ok = true;
-  for (const auto& solution : current_) {
-    spend += solution.evaluation.deployment_cost;
-    storage_ok = storage_ok && solution.evaluation.storage_ok;
-  }
-  // Degenerate-slot guards (ISSUE 9 satellite): the drift test normalises
+  const IterateTotals sum = totals(current_);
+  const double spend = sum.spend;
+  // Degenerate-slot guards: the drift test normalises
   // by the budget, so K <= 0 (quota-driven instances price nothing) and
   // zero-weight slots (nothing deployed now AND nothing priced in — an
   // empty workload trough) must never force a spurious global re-price;
@@ -477,7 +468,7 @@ ShardedSoCL::StepReport ShardedSoCL::step(
   // to shed replicas — re-price. Same thrash guard as the budget breach:
   // when even the accepted coordinated solve could not fit (fallback at an
   // infeasible instance), a re-solve of the unchanged breach is pure waste.
-  const bool storage_breach = !storage_ok && storage_ok_at_price_;
+  const bool storage_breach = !sum.storage_ok && storage_ok_at_price_;
   if ((breach || drift || storage_breach) && num_shards() > 1) {
     obs::add_counter(params_.sink, "socl.shard.reprices", 1);
     return StepReport{resolved, true, solve()};

@@ -120,9 +120,6 @@ struct ShardedParams {
   /// takes ~log_4(μ*) iterations and each bisection halves the bracket, so
   /// 24 covers clearing prices up to ~10^6 with a fine final bracket.
   int max_iterations = 24;
-  /// Stop when the complementary-slackness gap μ·(K − spend)/|primal| of
-  /// the accepted feasible iterate falls below this.
-  double gap_tolerance = 0.02;
   double initial_step = 0.75;
   /// Worker threads fanning shard solves out (0 = hardware concurrency).
   int threads = 0;
@@ -134,17 +131,10 @@ struct ShardedParams {
   /// spend drifts from the priced-in spend by more than this fraction of
   /// the budget (or breaches the budget outright).
   double reprice_threshold = 0.05;
-  /// Serving mode: per-shard incremental rungs run through a warm-started
-  /// OnlineSoCL per shard (repair + polish of the shard's carried placement
-  /// at the frozen price) instead of cold SoCL solves. Full coordinated
-  /// solves stay cold; each one re-seeds the rungs with the accepted
-  /// per-shard placements. With one shard this makes the serving ladder
-  /// bit-identical to driving OnlineSoCL directly (the serve-loop identity
-  /// lane of test_serving).
-  bool warm_serving = false;
-  /// Rung configuration under warm_serving (staleness threshold, periodic
-  /// full-resolve cadence). Its `socl` member is ignored: `solver` above is
-  /// the single source of per-shard solver configuration.
+  /// Configuration of the per-shard warm rungs step() runs (staleness
+  /// threshold, periodic full-resolve cadence). Its `socl` member is
+  /// ignored: `solver` above is the single source of per-shard solver
+  /// configuration.
   core::OnlineParams online;
   /// `socl.shard.*` metrics (docs/METRICS.md); nullptr disables.
   obs::ObsSink* sink = nullptr;
@@ -191,6 +181,11 @@ class ShardedSoCL {
   /// Per-shard incremental serving rung: replaces the workload, re-solves
   /// ONLY the shards whose sub-workload actually moved (at the frozen
   /// accepted price, or frozen quotas after a fallback), and recombines.
+  /// Each re-solve runs the shard's warm-started OnlineSoCL rung (repair +
+  /// polish of its carried placement); full coordinated solves stay cold
+  /// and re-seed the rungs with the accepted per-shard placements. With one
+  /// shard the serving ladder is bit-identical to driving OnlineSoCL
+  /// directly (the serve-loop identity lane of test_serving).
   /// A global re-price — the full dual-ascent loop — runs only when the
   /// aggregate spend drifts past reprice_threshold or breaches the budget.
   /// Requires a prior solve(); runs one implicitly otherwise.
@@ -200,9 +195,8 @@ class ShardedSoCL {
     ShardedSolution solution;
   };
   /// `force_all` re-runs every shard's rung even when its workload did not
-  /// move — the serving loop's periodic-replan schedule, which under
-  /// warm_serving gives each shard its OnlineSoCL staleness check / polish
-  /// on the legacy cadence.
+  /// move — the serving loop's periodic-replan schedule, which gives each
+  /// shard its OnlineSoCL staleness check / polish on the legacy cadence.
   StepReport step(const std::vector<workload::UserRequest>& requests,
                   bool force_all = false);
 
@@ -213,18 +207,25 @@ class ShardedSoCL {
   const ShardedParams& params() const { return params_; }
 
  private:
-  /// Solves every shard under `constants` (price- or quota-adjusted),
-  /// fanning out over the pool; results land by shard index.
-  void solve_all_shards(const core::ProblemConstants& base, double price,
-                        const std::vector<double>* quotas,
+  /// Per-shard solver configuration: `solver` with the sink forced null
+  /// (coordination metrics are emitted once, by the coordinator) and the
+  /// `shard_threads` override applied.
+  core::SoCLParams shard_solver_params() const;
+  /// Sets shard s's constants: the global ones re-weighted to λ' at
+  /// `price`, or — when `quotas` is non-null — at the true λ under the
+  /// shard's hard quota.
+  void set_shard_constants(std::size_t s, double price,
+                           const std::vector<double>* quotas);
+  /// Cold-solves every shard at `price` (or under `quotas`), fanning out
+  /// over the pool; results land by shard index.
+  void solve_all_shards(double price, const std::vector<double>* quotas,
                         std::vector<core::Solution>& out,
                         std::vector<double>& solve_s);
-  /// Re-solves one shard under the frozen price/quotas: a cold SoCL solve,
-  /// or the shard's warm OnlineSoCL rung under warm_serving.
+  /// Re-solves one shard through its warm OnlineSoCL rung under the frozen
+  /// price/quotas.
   void resolve_shard(int s);
   /// Builds (once) and re-seeds the per-shard OnlineSoCL rungs from the
-  /// accepted placements after a full coordinated solve. No-op unless
-  /// warm_serving.
+  /// accepted placements after a full coordinated solve.
   void reseed_rungs();
   /// Recombines current_ into a global solution and evaluates it.
   ShardedSolution recombine() const;
@@ -236,7 +237,7 @@ class ShardedSoCL {
   /// Subgradient schedule of the pre-bracket ascent; reset() at the top of
   /// every solve() so mid-day re-prices restart the step size.
   DualState dual_;
-  /// Warm serving rungs, one per shard (empty unless warm_serving).
+  /// Warm serving rungs, one per shard (built by the first solve()).
   std::vector<core::OnlineSoCL> online_rungs_;
 
   /// Serving state: the accepted per-shard solutions and the frozen

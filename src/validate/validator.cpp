@@ -17,6 +17,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// compared bit-for-bit by the differential harness.
 constexpr double kTol = 1e-9;
 
+/// True when two requests feed Eq. (2) identical inputs, compared field by
+/// field here rather than through the request-class key: a member may reuse
+/// its representative's completion time only if the walk would be the same.
+bool same_completion_inputs(const workload::UserRequest& a,
+                            const workload::UserRequest& b) {
+  return a.attach_node == b.attach_node && a.chain == b.chain &&
+         a.edge_data == b.edge_data && a.data_in == b.data_in &&
+         a.data_out == b.data_out;
+}
+
 }  // namespace
 
 const char* constraint_name(Constraint constraint) {
@@ -156,10 +166,11 @@ Report SolutionValidator::validate(const core::Placement& placement,
   const int nodes = scenario_->num_nodes();
   report.user_latency.assign(requests.size(), kInf);
   // Request-class memo (DESIGN.md §4g): members routed identically to their
-  // representative share one Eq. (2) walk, and their latency enters the
-  // total class-major (weight · D_c, one rounding per class) — matching the
-  // evaluator's totalisation. Members the solver routed differently fall
-  // back to a fresh walk and per-user accumulation.
+  // representative, with Eq. (2) inputs equal to its own field by field,
+  // share one Eq. (2) walk, and their latency enters the total class-major
+  // (weight · D_c, one rounding per class) — matching the evaluator's
+  // totalisation. Every other member gets a fresh walk and per-user
+  // accumulation, so the audit never trusts the class key.
   std::vector<double> class_d(
       static_cast<std::size_t>(classes.num_classes()), kInf);
   std::vector<double> class_uniform_weight(
@@ -212,7 +223,8 @@ Report SolutionValidator::validate(const core::Placement& placement,
         static_cast<std::size_t>(classes.class_of(request.id));
     const int rep = classes.cls(static_cast<int>(c)).representative;
     double d;
-    if (std::ranges::equal(route, assignment.user_route(rep))) {
+    if (std::ranges::equal(route, assignment.user_route(rep)) &&
+        same_completion_inputs(request, scenario_->request(rep))) {
       // The representative has the lowest id in its class, so its walk has
       // already populated the memo by the time any other member reads it.
       if (!class_d_known[c]) {

@@ -75,7 +75,8 @@ struct Report {
   double objective = 0.0;
   int users_checked = 0;
   /// D_h evaluations served from the request-class memo instead of a fresh
-  /// Eq. (2) walk (members routed identically to their representative).
+  /// Eq. (2) walk (members routed identically to their representative,
+  /// with the same attach node, chain and payloads).
   int latency_memo_hits = 0;
 
   bool ok() const { return violations.empty(); }

@@ -41,8 +41,8 @@ std::vector<std::vector<net::NodeId>> mobility_trajectory(
 /// (net::failover_targets): users whose attach node failed, and users
 /// whose alive attach node was stripped of every usable link by link
 /// failures. Healthy attachments are untouched. Returns the number of
-/// users actually moved — the honest displaced count (bench_resilience
-/// used to under-count by only looking at dead attach nodes). Throws
+/// users actually moved — the honest displaced count (looking only at
+/// dead attach nodes under-counts). Throws
 /// std::runtime_error when a user on a FAILED node has no surviving
 /// target; link-isolated users with nowhere better to go stay put and
 /// are served locally.

@@ -10,10 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <queue>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -331,38 +328,22 @@ TEST(ServingLoopChaos, ChaosOffIsByteIdenticalToHealthyDay) {
   off.chaos.flash_crowd_rate = 1.0;
   off.chaos.enabled = false;
 
-  const std::string path_a = "test_chaos_healthy.csv";
-  const std::string path_b = "test_chaos_off.csv";
-  ServingLoop(healthy).run().write_csv(path_a);
-  ServingLoop(off).run().write_csv(path_b);
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  const std::string a = slurp(path_a);
+  const std::string a = ServingLoop(healthy).run().to_csv();
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, slurp(path_b));
+  EXPECT_EQ(a, ServingLoop(off).run().to_csv());
   // The healthy CSV must not have grown chaos columns.
   EXPECT_EQ(a.find("failed_nodes"), std::string::npos);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 TEST(ServingLoopChaos, ChaosCsvCarriesTheChaosColumns) {
   ServingConfig config = chaotic_config(73);
   config.slots = 8;
-  const std::string path = "test_chaos_cols.csv";
-  ServingLoop(config).run().write_csv(path);
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
+  const std::string csv = ServingLoop(config).run().to_csv();
+  const std::string header = csv.substr(0, csv.find('\n'));
   EXPECT_NE(header.find("failed_nodes"), std::string::npos);
   EXPECT_NE(header.find("users_rehomed"), std::string::npos);
   EXPECT_NE(header.find("flash_multiplier"), std::string::npos);
   EXPECT_NE(header.find("substrate_changed"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ServingLoopChaos, ShardedChaoticDayRepricesOnSubstrateChange) {

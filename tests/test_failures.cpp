@@ -229,9 +229,9 @@ TEST(ReattachUsers, MovesOnlyAffectedUsers) {
 }
 
 TEST(ReattachUsers, CountsAndMovesLinkIsolatedUsers) {
-  // A user on an alive-but-isolated station is displaced too (the
-  // under-count bench_resilience used to have), and the return value is
-  // the honest moved count.
+  // A user on an alive-but-isolated station is displaced too (looking
+  // only at dead attach nodes under-counts), and the return value is the
+  // honest moved count.
   EdgeNetwork network;
   network.add_node({.x_m = 0.0, .y_m = 0.0});
   network.add_node({.x_m = 1.0, .y_m = 0.0});

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/failures.h"
 #include "workload/mobility.h"
 
 namespace socl::core {
@@ -110,8 +111,54 @@ TEST(OnlineSoCLTest, PeriodicFullResolve) {
     full.push_back(stats.full_resolve);
   }
   EXPECT_TRUE(full[0]);  // cold start
-  EXPECT_TRUE(full[3]);  // slot_ == 4 -> 4 % 3 == 1
-  EXPECT_TRUE(full[6]);  // slot_ == 7 -> 7 % 3 == 1
+  EXPECT_TRUE(full[3]);  // slot_ == 4 -> (4 - 1) % 3 == 0
+  EXPECT_TRUE(full[6]);  // slot_ == 7 -> (7 - 1) % 3 == 0
+}
+
+TEST(OnlineSoCLTest, PeriodOneFullResolvesEverySlot) {
+  // Period 1 is "re-solve every slot": every slot after the first is a
+  // full resolve, never a warm start.
+  auto scenario = make_scenario(base_config(), 8);
+  OnlineParams params;
+  params.full_resolve_period = 1;
+  OnlineSoCL online(params);
+  for (int slot = 1; slot <= 5; ++slot) {
+    OnlineStepStats stats;
+    online.step(scenario, &stats);
+    EXPECT_TRUE(stats.full_resolve) << "slot " << slot;
+    EXPECT_FALSE(stats.warm_start_used) << "slot " << slot;
+  }
+}
+
+TEST(OnlineSoCLTest, WarmStepOnDegradedSubstrateLeavesFailedNodes) {
+  // The network may change between steps as long as node ids and the
+  // catalog stay fixed: failed nodes keep their ids as zero-storage husks,
+  // so the warm repair must move their instances elsewhere (or fall back
+  // to a full solve).
+  const auto healthy = make_scenario(base_config(12, 50), 404);
+  util::Rng rng(911);
+  const net::FailurePlan plan =
+      net::random_failures(healthy.network(), 0.0, 2, rng);
+  ASSERT_EQ(plan.failed_nodes.size(), 2u);
+  auto degraded_net = net::apply_failures(healthy.network(), plan);
+  auto requests = healthy.requests();
+  workload::reattach_users(degraded_net, plan.failed_nodes, requests);
+  const Scenario degraded(std::move(degraded_net), healthy.catalog(),
+                          std::move(requests), healthy.constants());
+
+  OnlineSoCL online;
+  online.step(healthy);
+  OnlineStepStats stats;
+  const auto solution = online.step(degraded, &stats);
+  EXPECT_TRUE(stats.warm_start_used);
+  EXPECT_TRUE(solution.evaluation.routable);
+  EXPECT_TRUE(solution.evaluation.storage_ok);
+  for (const net::NodeId k : plan.failed_nodes) {
+    for (MsId m = 0; m < degraded.num_microservices(); ++m) {
+      EXPECT_FALSE(solution.placement.deployed(m, k))
+          << "m" << m << " on failed node v" << k;
+    }
+  }
 }
 
 TEST(OnlineSoCLTest, ResetForgetsState) {

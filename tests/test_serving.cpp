@@ -11,9 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -269,27 +266,13 @@ TEST(ServingLoop, HeavyDriftTriggersReplan) {
 TEST(ServingReport, CsvIsDeterministicAndExcludesWallClock) {
   ServingConfig config = small_config(29);
   config.slots = 5;
-  const std::string path_a = "test_serving_a.csv";
-  const std::string path_b = "test_serving_b.csv";
-  ServingLoop(config).run().write_csv(path_a);
-  ServingLoop(config).run().write_csv(path_b);
-
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  const std::string a = slurp(path_a);
-  const std::string b = slurp(path_b);
+  const std::string a = ServingLoop(config).run().to_csv();
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, ServingLoop(config).run().to_csv());
   EXPECT_NE(a.find("slot,mode,classes"), std::string::npos);
   EXPECT_EQ(a.find("control"), std::string::npos);  // no wall-clock column
   // Header plus one row per slot.
   EXPECT_EQ(std::count(a.begin(), a.end(), '\n'), 6);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 TEST(ServingLoop, StepBeyondRunExtendsTheDay) {
@@ -329,22 +312,8 @@ TEST(ServingLoop, OneMetroShardedDayIsByteIdenticalToUnsharded) {
   const ServingReport a = ServingLoop(base).run();
   const ServingReport b = ServingLoop(sharded).run();
   expect_slots_equal(a.slots, b.slots);
-
-  const std::string path_a = "test_serving_unsharded.csv";
-  const std::string path_b = "test_serving_sharded.csv";
-  a.write_csv(path_a);
-  b.write_csv(path_b);
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  };
-  const std::string csv_a = slurp(path_a);
-  EXPECT_FALSE(csv_a.empty());
-  EXPECT_EQ(csv_a, slurp(path_b));
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
+  EXPECT_FALSE(a.to_csv().empty());
+  EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
 TEST(ServingLoop, ShardedTwoMetroDayWithCrossMetroChurnIsClean) {
