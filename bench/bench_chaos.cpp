@@ -89,34 +89,6 @@ void print_day(const serve::ServingReport& report) {
   table.print(std::cout);
 }
 
-bool cross_check_clean(const serve::ServingReport& report,
-                       const std::string& label) {
-  bool clean = true;
-  for (const serve::SlotReport& slot : report.slots) {
-    // Slot 1 is the healthy baseline solve — identical to bench_serving's
-    // unsharded control lane, which marginally overspends Eq. 5 at
-    // coverage-tight full-mode budgets. That known condition is reported
-    // there, not gated; the chaos gate follows suit and only enforces the
-    // slots the chaos lane actually influences (every slot from 2 on).
-    if (slot.slot == 1 && slot.full_reroute_matches &&
-        slot.validator_violations > 0) {
-      std::cout << "(note: " << label << " baseline slot reports "
-                << slot.validator_violations
-                << " violation(s) — the known coverage-tight overspend of "
-                   "the healthy day's first solve; reported, not gated)\n";
-      continue;
-    }
-    if (!slot.full_reroute_matches || slot.validator_violations != 0) {
-      std::cerr << label << ": cross-check failed at slot " << slot.slot
-                << " (" << slot.validator_violations << " violations"
-                << (slot.full_reroute_matches ? "" : ", re-route mismatch")
-                << ")\n";
-      clean = false;
-    }
-  }
-  return clean;
-}
-
 /// Gate 1: the chaotic day run twice must produce byte-identical CSVs —
 /// the whole lane (schedule, substrate swaps, re-homing, DES) is a pure
 /// function of (config, seed).
@@ -315,9 +287,11 @@ int run(bool check) {
                 "nodes, 50 users) and warm-start recovery");
   static_drill();
 
+  // Slot 1 is the healthy baseline solve; the gate starts at slot 2, the
+  // first slot the chaos lane influences.
   bool ok = true;
   for (std::size_t p = 0; p < reports.size(); ++p) {
-    ok = cross_check_clean(reports[p], kPolicies[p].name) && ok;
+    ok = bench::cross_check_clean(reports[p], kPolicies[p].name, 2) && ok;
   }
   ok = schedule_gate(reports[1]) && ok;  // the 'periodic' reference day
   ok = determinism_gate(base) && ok;

@@ -79,21 +79,6 @@ void print_day(const serve::ServingReport& report) {
   table.print(std::cout);
 }
 
-bool cross_check_clean(const serve::ServingReport& report,
-                       const std::string& label) {
-  bool clean = true;
-  for (const serve::SlotReport& slot : report.slots) {
-    if (!slot.full_reroute_matches || slot.validator_violations != 0) {
-      std::cerr << label << ": cross-check failed at slot " << slot.slot
-                << " (" << slot.validator_violations << " violations"
-                << (slot.full_reroute_matches ? "" : ", re-route mismatch")
-                << ")\n";
-      clean = false;
-    }
-  }
-  return clean;
-}
-
 /// The compact day of the identity lane and the warm-vs-full table.
 /// Exactness does not depend on scale, so it stays compact in full mode too.
 serve::ServingConfig compact_day_config() {
@@ -244,10 +229,9 @@ int run(bool check) {
   // coverage first and has no price to shed against), which is precisely
   // the failure mode the coordinator's dual pricing avoids.
   bool ok = true;
-  ok = cross_check_clean(sharded, "sharded day") && ok;
+  ok = bench::cross_check_clean(sharded, "sharded day") && ok;
   ok = identity_lane() && ok;
-  const bool control_clean = cross_check_clean(unsharded, "unsharded day");
-  if (!control_clean) {
+  if (!bench::cross_check_clean(unsharded, "unsharded day")) {
     std::cout << "(note: unsharded control-lane violations are reported, "
                  "not gated)\n";
   }

@@ -69,7 +69,7 @@ int main() {
             << "the loop re-solves only when demand tuples actually move: "
             << report.replans << " re-solves and " << report.incremental_slots
             << " incremental patches across " << config.slots
-            << " slots; every other slot carried the cached class routes "
-               "unchanged.\n";
+            << " slots; every other slot kept the previous placement "
+               "(carried).\n";
   return 0;
 }

@@ -376,17 +376,15 @@ int main(int argc, char** argv) {
     const auto& catalog = workload::catalog_by_name(options.catalog);
     net::TopologyConfig topo;
     topo.num_nodes = options.nodes;
-    auto network = net::make_family_topology(family_from(options.topology),
-                                             topo, options.seed);
-    workload::RequestGenConfig gen;
-    gen.num_users = options.users;
-    auto requests = workload::generate_requests(network, catalog, gen,
-                                                options.seed ^ 0x5eedULL);
-    core::ProblemConstants constants;
-    constants.budget = options.budget;
-    constants.lambda = options.lambda;
-    const core::Scenario scenario(std::move(network), catalog,
-                                  std::move(requests), constants);
+    core::ScenarioConfig scenario_config;
+    scenario_config.num_users = options.users;
+    scenario_config.catalog = &catalog;
+    scenario_config.constants.budget = options.budget;
+    scenario_config.constants.lambda = options.lambda;
+    const core::Scenario scenario = core::make_scenario(
+        net::make_family_topology(family_from(options.topology), topo,
+                                  options.seed),
+        scenario_config, options.seed);
 
     std::cout << "scenario: " << scenario.num_nodes() << " nodes ("
               << options.topology << "), " << scenario.num_users()

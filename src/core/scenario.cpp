@@ -112,19 +112,20 @@ void Scenario::set_network(net::EdgeNetwork network) {
 Scenario make_scenario(const ScenarioConfig& config, std::uint64_t seed) {
   net::TopologyConfig topo = config.topology;
   topo.num_nodes = config.num_nodes;
-  auto network = net::make_topology(topo, seed);
+  return make_scenario(net::make_topology(topo, seed), config, seed);
+}
 
+Scenario make_scenario(net::EdgeNetwork network, const ScenarioConfig& config,
+                       std::uint64_t seed) {
   const auto& catalog =
       config.catalog != nullptr
           ? *config.catalog
           : (config.use_tiny_catalog ? workload::tiny_catalog()
                                      : workload::eshop_catalog());
-
   workload::RequestGenConfig reqs = config.requests;
   reqs.num_users = config.num_users;
   auto requests =
       workload::generate_requests(network, catalog, reqs, seed ^ 0x5eedULL);
-
   return Scenario(std::move(network), catalog, std::move(requests),
                   config.constants);
 }

@@ -176,5 +176,10 @@ struct ScenarioConfig {
 };
 
 Scenario make_scenario(const ScenarioConfig& config, std::uint64_t seed);
+/// make_scenario on a substrate the caller built: catalog, requests (seeded
+/// `seed ^ 0x5eed`) and constants from `config`; its topology fields and
+/// `num_nodes` are unused.
+Scenario make_scenario(net::EdgeNetwork network, const ScenarioConfig& config,
+                       std::uint64_t seed);
 
 }  // namespace socl::core

@@ -10,7 +10,7 @@ const char* Recorder::span_metric_name(Phase phase) {
     case Phase::kCombination: return "socl.span.combination_us";
     case Phase::kRouting: return "socl.span.routing_us";
     case Phase::kServerless: return "socl.span.serverless_us";
-    case Phase::kSim: return "socl.span.sim_us";
+    case Phase::kServe: return "socl.span.serve_us";
     case Phase::kOther: return "socl.span.other_us";
   }
   return "socl.span.other_us";

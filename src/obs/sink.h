@@ -29,7 +29,7 @@ enum class Phase {
   kCombination,   ///< Algorithms 3/4: multi-scale combination + ζ lists
   kRouting,       ///< chain-DP routing: cache refresh / scoring / route_all
   kServerless,    ///< container-runtime windows and lifecycle events
-  kSim,           ///< time-slotted simulation
+  kServe,         ///< online serving loop (one span per slot)
   kOther,         ///< top-level / uncategorised spans
 };
 
@@ -43,7 +43,7 @@ constexpr const char* phase_name(Phase phase) {
     case Phase::kCombination: return "combination";
     case Phase::kRouting: return "routing";
     case Phase::kServerless: return "serverless";
-    case Phase::kSim: return "sim";
+    case Phase::kServe: return "serve";
     case Phase::kOther: return "other";
   }
   return "other";

@@ -1,7 +1,7 @@
 #include "serve/serving_loop.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -25,15 +25,18 @@ void fnv_mix(std::uint64_t& h, std::uint64_t value) {
   h *= 0x100000001B3ULL;
 }
 
-std::uint64_t bits(double value) {
-  std::uint64_t out;
-  static_assert(sizeof(out) == sizeof(value));
-  __builtin_memcpy(&out, &value, sizeof(out));
-  return out;
+void fnv_mix(std::uint64_t& h, double value) {
+  fnv_mix(h, std::bit_cast<std::uint64_t>(value));
 }
 
-/// FNV-1a over everything the control plane sees as demand (same shape as
-/// the slot simulator's trace identity).
+/// num / den, or `otherwise` when nothing was counted (an idle slot or day).
+double rate(std::int64_t num, std::int64_t den, double otherwise) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den)
+                 : otherwise;
+}
+
+/// FNV-1a over everything the control plane sees as demand (the slot's
+/// decision-independent trace identity).
 std::uint64_t demand_fingerprint(
     const std::vector<workload::UserRequest>& requests) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -43,10 +46,10 @@ std::uint64_t demand_fingerprint(
     for (const workload::MsId m : request.chain) {
       fnv_mix(h, static_cast<std::uint64_t>(m));
     }
-    for (const double d : request.edge_data) fnv_mix(h, bits(d));
-    fnv_mix(h, bits(request.data_in));
-    fnv_mix(h, bits(request.data_out));
-    fnv_mix(h, bits(request.deadline));
+    for (const double d : request.edge_data) fnv_mix(h, d);
+    fnv_mix(h, request.data_in);
+    fnv_mix(h, request.data_out);
+    fnv_mix(h, request.deadline);
   }
   return h;
 }
@@ -66,18 +69,8 @@ core::Scenario make_serving_scenario(const ServingConfig& config,
   mm.metro.num_nodes = config.scenario.num_nodes;
   net::MultiMetroTopology topo = net::make_multi_metro(mm, config.seed);
   metro_of = topo.metro_of;
-
-  const auto& catalog =
-      config.scenario.catalog != nullptr
-          ? *config.scenario.catalog
-          : (config.scenario.use_tiny_catalog ? workload::tiny_catalog()
-                                              : workload::eshop_catalog());
-  workload::RequestGenConfig reqs = config.scenario.requests;
-  reqs.num_users = config.scenario.num_users;
-  auto requests = workload::generate_requests(topo.network, catalog, reqs,
-                                              config.seed ^ 0x5eedULL);
-  return core::Scenario(std::move(topo.network), catalog, std::move(requests),
-                        config.scenario.constants);
+  return core::make_scenario(std::move(topo.network), config.scenario,
+                             config.seed);
 }
 
 /// The per-slot CSV series (deterministic columns only — no wall-clock).
@@ -146,27 +139,52 @@ const char* slot_mode_name(SlotMode mode) {
 }
 
 double ServingReport::slo_attainment() const {
-  return requests_completed > 0 ? static_cast<double>(slo_met) /
-                                      static_cast<double>(requests_completed)
-                                : 1.0;
+  return rate(slo_met, requests_completed, 1.0);
 }
 
 double ServingReport::cold_start_rate() const {
-  return invocations > 0 ? static_cast<double>(cold_serves) /
-                               static_cast<double>(invocations)
-                         : 0.0;
+  return rate(cold_serves, invocations, 0.0);
 }
 
 double ServingReport::recompute_fraction() const {
-  return classes_total > 0 ? static_cast<double>(classes_recomputed) /
-                                 static_cast<double>(classes_total)
-                           : 0.0;
+  return rate(classes_recomputed, classes_total, 0.0);
 }
 
 double ServingReport::degraded_slo_attainment() const {
-  return degraded_requests > 0 ? static_cast<double>(degraded_slo_met) /
-                                     static_cast<double>(degraded_requests)
-                               : 1.0;
+  return rate(degraded_slo_met, degraded_requests, 1.0);
+}
+
+void ServingReport::add(const SlotReport& slot, const SlotChaos* chaos_slot) {
+  slots.push_back(slot);
+  invocations += slot.invocations;
+  requests_completed += slot.requests_completed;
+  slo_met += slot.slo_met;
+  cold_serves += slot.cold_serves;
+  classes_total += slot.classes;
+  classes_recomputed += slot.classes_recomputed;
+  switch (slot.mode) {
+    case SlotMode::kCarried: ++carried_slots; break;
+    case SlotMode::kIncremental: ++incremental_slots; break;
+    case SlotMode::kReplan: ++replans; break;
+  }
+  churn_instances += slot.placement_churn;
+  churn_cost += slot.churn_cost;
+  prewarm_ahead_hits += slot.prewarm_ahead_hits;
+  shards_resolved += slot.shards_resolved;
+  if (slot.repriced) ++reprices;
+  control_s_total += slot.control_s;
+  if (chaos_slot == nullptr) return;
+  chaos_node_failures += chaos_slot->nodes_failed_now;
+  chaos_link_failures += chaos_slot->links_failed_now;
+  chaos_repairs +=
+      chaos_slot->nodes_repaired_now + chaos_slot->links_repaired_now;
+  chaos_users_rehomed += slot.users_rehomed;
+  if (chaos_slot->flash_multiplier > 1.0) ++chaos_flash_slots;
+  if (chaos_slot->degraded()) {
+    ++chaos_degraded_slots;
+    degraded_requests += slot.requests_completed;
+    degraded_slo_met += slot.slo_met;
+  }
 }
 
 std::string ServingReport::to_csv() const {
@@ -372,18 +390,6 @@ int ServingLoop::advance_workload() {
   return rehomed;
 }
 
-bool ServingLoop::tuple_seen(const workload::UserRequest& rep) const {
-  const auto it = tuple_index_.find(workload::request_fingerprint(rep));
-  if (it == tuple_index_.end()) return false;
-  for (const int i : it->second) {
-    if (workload::same_request_class(
-            rep, tuples_[static_cast<std::size_t>(i)])) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ServingLoop::route_classes() {
   const workload::RequestClasses& classes = scenario_.classes();
   const core::ChainRouter router(scenario_);
@@ -406,346 +412,294 @@ bool ServingLoop::route_classes() {
 }
 
 SlotReport ServingLoop::step() {
-  const obs::ScopedSpan span(config_.sink, obs::Phase::kSim, "serve.slot");
-  util::WallTimer control_timer;
+  const obs::ScopedSpan span(config_.sink, obs::Phase::kServe, "serve.slot");
+  const util::WallTimer control_timer;
   ++slot_;
-
   SlotReport report;
   report.slot = slot_;
   report.arrival_intensity = slot_intensity(slot_);
+  SlotPlan plan;
 
-  const SlotChaos* chaos_slot = nullptr;
-  if (chaos_ != nullptr) {
-    chaos_slot = &chaos_->slot(slot_);
-    report.failed_nodes =
-        static_cast<int>(chaos_slot->plan.failed_nodes.size());
-    report.failed_links =
-        static_cast<int>(chaos_slot->plan.failed_links.size());
-    report.flash_multiplier = chaos_slot->flash_multiplier;
-    // Flash crowds fold into the slot's arrival intensity: the DES window
-    // below draws its rate from this multiplier.
-    report.arrival_intensity *= chaos_slot->flash_multiplier;
-    if (chaos_slot->changed) {
-      // Failures/repairs landed this slot: swap the substrate before the
-      // workload advances, so mobility walks the degraded graph and the
-      // re-homing below sees the links that actually exist. A full repair
-      // restores the pristine network by copy — apply_failures with an
-      // empty plan would drop the links' base parameters.
-      scenario_.set_network(chaos_slot->plan.empty()
-                                ? *healthy_network_
-                                : net::apply_failures(*healthy_network_,
-                                                      chaos_slot->plan));
-      report.substrate_changed = true;
-      // The sharded coordinator priced its shards on the old substrate;
-      // rebuilding it forces a global re-price (repriced = true) on the
-      // new one — a backhaul cut isolates a metro and its shard's budget
-      // share must be re-negotiated.
-      if (sharded_ != nullptr) rebuild_sharded();
-    }
-  }
-
+  // Control plane, timed as SlotReport::control_s.
+  ingest_chaos(report, plan);
   if (slot_ > 1) report.users_rehomed = advance_workload();
-  const std::uint64_t epoch = scenario_.workload_epoch();
-  const bool workload_changed = !have_previous_ || epoch != last_epoch_;
-  const bool substrate_moved =
-      scenario_.substrate_epoch() != last_substrate_epoch_;
+  diff_classes(report, plan);
+  choose_rung(report, plan);
+  if (plan.replan) replan(report, plan.periodic_replan);
+  report.classes_carried = report.classes - report.classes_recomputed;
+  settle_economics(report, plan);
+  report.control_s = control_timer.elapsed_seconds();
 
+  // Checks and data plane under the chosen placement.
+  if (config_.cross_check) cross_check(report);
+  const serverless::SoCLPrewarmPolicy policy(scenario_);
+  serve_windows(report, plan, policy);
+  roll_forward(policy);
+
+  emit_metrics(report, plan.chaos);
+  report_.add(report, plan.chaos);
+  return report;
+}
+
+void ServingLoop::ingest_chaos(SlotReport& report, SlotPlan& plan) {
+  if (chaos_ == nullptr) return;
+  const SlotChaos& chaos_slot = chaos_->slot(slot_);
+  plan.chaos = &chaos_slot;
+  report.failed_nodes = static_cast<int>(chaos_slot.plan.failed_nodes.size());
+  report.failed_links = static_cast<int>(chaos_slot.plan.failed_links.size());
+  report.flash_multiplier = chaos_slot.flash_multiplier;
+  // Flash crowds fold into the slot's arrival intensity: the DES windows
+  // draw their rate from this multiplier.
+  report.arrival_intensity *= chaos_slot.flash_multiplier;
+  if (!chaos_slot.changed) return;
+  // Failures/repairs landed: swap the substrate before the workload
+  // advances, so mobility and re-homing see the links that actually exist.
+  // A full repair restores the pristine network by copy — apply_failures
+  // with an empty plan would drop the links' base parameters.
+  scenario_.set_network(chaos_slot.plan.empty()
+                            ? *healthy_network_
+                            : net::apply_failures(*healthy_network_,
+                                                  chaos_slot.plan));
+  report.substrate_changed = true;
+  // The sharded coordinator priced its shards on the old substrate; a fresh
+  // one re-prices globally (a backhaul cut isolates a metro, whose budget
+  // share must be re-negotiated).
+  if (sharded_ != nullptr) rebuild_sharded();
+}
+
+void ServingLoop::diff_classes(SlotReport& report, SlotPlan& plan) {
+  plan.workload_changed =
+      !have_previous_ || scenario_.workload_epoch() != last_epoch_;
   const workload::RequestClasses& classes = scenario_.classes();
   report.classes = classes.num_classes();
   report.demand_fingerprint = demand_fingerprint(scenario_.requests());
-  const double total_weight = std::max(1.0, classes.total_weight());
+  plan.total_weight = std::max(1.0, classes.total_weight());
 
+  // A class whose exact tuple was served last slot is unmoved; the moved
+  // weight drives the replan trigger. An unchanged epoch moved nothing.
+  if (!plan.workload_changed) return;
+  decltype(tuples_) served;
+  double moved_weight = 0.0;
+  for (int c = 0; c < classes.num_classes(); ++c) {
+    const workload::RequestClass& cls = classes.cls(c);
+    const workload::UserRequest& tuple = scenario_.request(cls.representative);
+    if (have_previous_ && !tuples_.contains(tuple)) {
+      ++plan.moved;
+      moved_weight += cls.weight;
+    }
+    served.insert(tuple);
+  }
+  tuples_ = std::move(served);
+  report.moved_weight_fraction =
+      have_previous_ ? moved_weight / plan.total_weight : 1.0;
+  plan.weight_breach =
+      moved_weight > config_.replan_weight_threshold * plan.total_weight;
+}
+
+void ServingLoop::choose_rung(SlotReport& report, SlotPlan& plan) {
   // A substrate change always forces the replan rung: the carried placement
   // was chosen for the old network (it may hold instances on a failed
   // node), and the tuple diff cannot see a link that vanished under an
   // unchanged demand tuple.
-  bool replan = !have_previous_ || substrate_moved;
-  bool periodic_replan = false;
-  if (config_.full_replan_period > 0 && slot_ > 1 &&
-      (slot_ - 1) % config_.full_replan_period == 0) {
-    replan = true;
-    periodic_replan = true;
-  }
-
-  // Diff this slot's classes against the previous slot's demand tuples: a
-  // class whose exact tuple was already served is unmoved; the moved weight
-  // drives the replan trigger.
-  int moved = 0;
-  if (workload_changed && have_previous_) {
-    double moved_weight = 0.0;
-    for (int c = 0; c < classes.num_classes(); ++c) {
-      const workload::RequestClass& cls = classes.cls(c);
-      if (!tuple_seen(scenario_.request(cls.representative))) {
-        ++moved;
-        moved_weight += cls.weight;
-      }
-    }
-    report.moved_weight_fraction = moved_weight / total_weight;
-    if (moved_weight > config_.replan_weight_threshold * total_weight) {
-      replan = true;
-    }
-  } else if (!have_previous_) {
-    report.moved_weight_fraction = 1.0;
-  }
-  if (workload_changed) {
-    tuples_.clear();
-    tuple_index_.clear();
-    tuples_.reserve(static_cast<std::size_t>(classes.num_classes()));
-    for (int c = 0; c < classes.num_classes(); ++c) {
-      const workload::RequestClass& cls = classes.cls(c);
-      tuples_.push_back(scenario_.request(cls.representative));
-      tuple_index_[cls.fingerprint].push_back(c);
-    }
-  }
-
+  plan.periodic_replan = config_.full_replan_period > 0 && slot_ > 1 &&
+                         (slot_ - 1) % config_.full_replan_period == 0;
+  plan.replan = !have_previous_ ||
+                scenario_.substrate_epoch() != last_substrate_epoch_ ||
+                plan.periodic_replan || plan.weight_breach;
+  if (plan.replan) return;
   // Carried / incremental: the placement is carried. With an unchanged
   // workload epoch the previous slot's routes are still exact; otherwise
   // every class is re-routed under the carried placement, and a class that
   // is unroutable there means coverage was lost — fall through to a replan.
-  if (!replan) {
-    if (!workload_changed || route_classes()) {
-      report.mode = moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
-      report.classes_recomputed = moved;
-    } else {
-      replan = true;
-    }
+  if (plan.workload_changed && !route_classes()) {
+    plan.replan = true;
+    return;
   }
+  report.mode = plan.moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
+  report.classes_recomputed = plan.moved;
+}
 
-  if (replan) {
-    if (sharded_ != nullptr) {
-      // Sharded replan: feed the slot's workload delta to the coordinator —
-      // only the shards whose sub-workload (or membership) moved re-run
-      // their warm rung at the frozen budget price; a global re-price
-      // happens only on budget drift or breach. Periodic replans force
-      // every rung so each shard keeps the legacy staleness-check cadence.
-      // Only the merged *placement* is adopted: routing every class
-      // globally below finds a route across the backhaul when it wins (one
-      // metro: per-shard routes equal global routes, so this reproduces the
-      // unsharded day bit for bit).
-      shard::ShardedSoCL::StepReport shard_step =
-          sharded_->step(scenario_.requests(), periodic_replan);
-      report.shards_resolved = shard_step.shards_resolved;
-      report.repriced = shard_step.repriced;
-      placement_ = std::move(shard_step.solution.placement);
-    } else {
-      placement_ = online_.step(scenario_).placement;
-    }
-    if (!route_classes()) {
-      throw std::runtime_error(
-          "ServingLoop: slot unroutable even after a replan (slot " +
-          std::to_string(slot_) + ")");
-    }
-    report.mode = SlotMode::kReplan;
-    report.classes_recomputed = classes.num_classes();
+void ServingLoop::replan(SlotReport& report, bool periodic) {
+  if (sharded_ != nullptr) {
+    // Only shards whose sub-workload (or membership) moved re-run their
+    // warm rung at the frozen budget price; a global re-price happens only
+    // on budget drift or breach, and periodic replans force every rung. Only
+    // the merged *placement* is adopted: the global routing below may cross
+    // the backhaul when that wins (with one metro, per-shard routes equal
+    // global routes, so the unsharded day is reproduced bit for bit).
+    shard::ShardedSoCL::StepReport shard_step =
+        sharded_->step(scenario_.requests(), periodic);
+    report.shards_resolved = shard_step.shards_resolved;
+    report.repriced = shard_step.repriced;
+    placement_ = std::move(shard_step.solution.placement);
+  } else {
+    placement_ = online_.step(scenario_).placement;
   }
-  report.classes_carried = report.classes - report.classes_recomputed;
+  if (!route_classes()) {
+    throw std::runtime_error(
+        "ServingLoop: slot unroutable even after a replan (slot " +
+        std::to_string(slot_) + ")");
+  }
+  report.mode = SlotMode::kReplan;
+  report.classes_recomputed = report.classes;
+}
 
+void ServingLoop::settle_economics(SlotReport& report, SlotPlan& plan) {
   // Slot economics from the routing pass (uniform across modes; it is
   // Evaluator::evaluate's class-major sum, so on replan slots it reproduces
   // the solver's own evaluation).
   report.deployment_cost = placement_.deployment_cost(scenario_.catalog());
-  report.mean_latency_s = latency_total_ / total_weight;
+  report.mean_latency_s = latency_total_ / plan.total_weight;
   const core::Evaluator evaluator(scenario_);
   report.objective = evaluator.combine(report.deployment_cost, latency_total_);
+  if (!have_previous_) return;
+  report.placement_churn =
+      core::placement_churn(previous_placement_, placement_);
+  plan.delta = core::placement_delta(previous_placement_, placement_);
+  for (const auto& [m, k] : plan.delta.added) {
+    (void)k;
+    report.churn_cost += scenario_.catalog().microservice(m).deploy_cost;
+  }
+}
 
-  core::PlacementDelta delta;
-  if (have_previous_) {
-    report.placement_churn =
-        core::placement_churn(previous_placement_, placement_);
-    delta = core::placement_delta(previous_placement_, placement_);
-    for (const auto& [m, k] : delta.added) {
-      (void)k;
-      report.churn_cost += scenario_.catalog().microservice(m).deploy_cost;
+void ServingLoop::cross_check(SlotReport& report) const {
+  // Re-route every class through the SoA kernel, an implementation
+  // independent of the live routing pass. Every user's assignment row must
+  // equal its class's kernel route, and the kernel's latency total must
+  // equal the live one bit for bit; the independent validator must then
+  // find no constraint violation. The kernel's delay tables are off
+  // (budget 0): one route per class never amortises them, and the
+  // on-the-fly divisions produce the same bits.
+  const workload::RequestClasses& classes = scenario_.classes();
+  const core::ScoreKernel kernel(scenario_, 0);
+  core::ScoreKernel::Arena arena;
+  core::KernelStats stats;
+  core::RouteResult routed;
+  kernel.bind(arena, placement_);
+  double latency_total = 0.0;
+  bool matches = true;
+  for (int c = 0; c < classes.num_classes() && matches; ++c) {
+    const workload::RequestClass& cls = classes.cls(c);
+    matches = kernel.class_route(c, arena, stats, routed);
+    for (std::size_t i = 0; matches && i < cls.members.size(); ++i) {
+      const auto row = assignment_.user_route(cls.members[i]);
+      matches = std::equal(row.begin(), row.end(), routed.nodes.begin(),
+                           routed.nodes.end());
+    }
+    latency_total += routed.total() * cls.weight;
+  }
+  matches = matches && latency_total == latency_total_;
+  report.full_reroute_matches = matches;
+  if (!matches) {
+    throw std::logic_error(
+        "ServingLoop: assignment diverged from the kernel's class routes "
+        "(slot " +
+        std::to_string(slot_) + ")");
+  }
+  const validate::SolutionValidator validator(scenario_);
+  report.validator_violations = static_cast<int>(
+      validator.validate(placement_, assignment_).violations.size());
+}
+
+core::Placement ServingLoop::warm_pools(SlotReport& report,
+                                        const SlotPlan& plan) const {
+  // Instances the replan added boot cold unless the previous slot's quota
+  // snapshot predicted them (prewarm-ahead): those join the carried set and
+  // open warm, modelling warm-up commands issued before rollout.
+  core::Placement carried = previous_placement_;
+  const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
+  for (const auto& [m, k] : plan.delta.added) {
+    if (prewarm_snapshot_[static_cast<std::size_t>(m) * nodes +
+                          static_cast<std::size_t>(k)] != 0) {
+      carried.deploy(m, k);
+      ++report.prewarm_ahead_hits;
     }
   }
-  report.control_s = control_timer.elapsed_seconds();
-
-  if (config_.cross_check) {
-    // Cross-check lane: re-route every class through the SoA kernel, an
-    // implementation independent of the live routing pass. Every user's
-    // assignment row must equal its class's kernel route, and the kernel's
-    // latency total must equal the live one bit for bit; the independent
-    // validator must then find no constraint violation. The kernel's delay
-    // tables are off (budget 0): one route per class never amortises them,
-    // and the on-the-fly divisions produce the same bits.
-    const core::ScoreKernel kernel(scenario_, 0);
-    core::ScoreKernel::Arena arena;
-    core::KernelStats stats;
-    core::RouteResult routed;
-    kernel.bind(arena, placement_);
-    double latency_total = 0.0;
-    bool matches = true;
-    for (int c = 0; c < classes.num_classes() && matches; ++c) {
-      const workload::RequestClass& cls = classes.cls(c);
-      matches = kernel.class_route(c, arena, stats, routed);
-      for (std::size_t i = 0; matches && i < cls.members.size(); ++i) {
-        const auto row = assignment_.user_route(cls.members[i]);
-        matches = std::equal(row.begin(), row.end(), routed.nodes.begin(),
-                             routed.nodes.end());
+  if (plan.chaos != nullptr && plan.chaos->degraded()) {
+    // Container pools drain on dead nodes: nothing carried on a currently
+    // failed node may open warm (and a repaired node's pool restarts cold
+    // naturally — the previous slot's placement could not host anything
+    // there while it was a husk).
+    for (const net::NodeId k : plan.chaos->plan.failed_nodes) {
+      for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
+        if (carried.deployed(m, k)) carried.remove(m, k);
       }
-      latency_total += routed.total() * cls.weight;
     }
-    matches = matches && latency_total == latency_total_;
-    report.full_reroute_matches = matches;
-    if (!matches) {
-      throw std::logic_error(
-          "ServingLoop: assignment diverged from the kernel's class routes "
-          "(slot " +
-          std::to_string(slot_) + ")");
-    }
-    const validate::SolutionValidator validator(scenario_);
-    report.validator_violations = static_cast<int>(
-        validator.validate(placement_, assignment_).violations.size());
   }
+  return carried;
+}
 
-  // Data plane: DES windows under the slot's placement. Instances the
-  // replan added boot cold unless the previous slot's quota snapshot
-  // predicted them (prewarm-ahead): those join the carried set and open
-  // warm, modelling warm-up commands issued before rollout.
-  const serverless::SoCLPrewarmPolicy policy(scenario_);
-  {
-    serverless::ArrivalConfig arrival_config = config_.arrivals;
-    arrival_config.horizon_s = config_.slot_horizon_s;
-    arrival_config.mean_rate =
-        config_.arrivals.mean_rate * report.arrival_intensity;
-    arrival_config.seed =
-        config_.seed ^
-        (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
-    auto arrivals =
-        serverless::generate_arrivals(scenario_.num_users(), arrival_config);
+void ServingLoop::serve_windows(SlotReport& report, const SlotPlan& plan,
+                                const serverless::SoCLPrewarmPolicy& policy) {
+  serverless::ArrivalConfig arrival_config = config_.arrivals;
+  arrival_config.horizon_s = config_.slot_horizon_s;
+  arrival_config.mean_rate =
+      config_.arrivals.mean_rate * report.arrival_intensity;
+  arrival_config.seed =
+      config_.seed ^
+      (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
+  serverless::ServerlessConfig runtime_config = config_.runtime;
+  if (runtime_config.sink == nullptr) runtime_config.sink = config_.sink;
+  const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
+  const core::Placement carried = warm_pools(report, plan);
 
-    serverless::ServerlessConfig runtime_config = config_.runtime;
-    if (runtime_config.sink == nullptr) runtime_config.sink = config_.sink;
-    const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
-
-    core::Placement carried = previous_placement_;
-    if (have_previous_) {
-      const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
-      for (const auto& [m, k] : delta.added) {
-        const std::size_t idx =
-            static_cast<std::size_t>(m) * nodes + static_cast<std::size_t>(k);
-        if (prewarm_snapshot_[idx] != 0) {
-          carried.deploy(m, k);
-          ++report.prewarm_ahead_hits;
-        }
-      }
-    }
-    if (chaos_slot != nullptr && chaos_slot->degraded()) {
-      // Container pools drain on dead nodes: nothing carried on a
-      // currently-failed node may open warm (and a repaired node's pool
-      // restarts cold naturally — the previous slot's placement could not
-      // host anything there while it was a husk).
-      for (const net::NodeId k : chaos_slot->plan.failed_nodes) {
-        for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
-          if (carried.deployed(m, k)) carried.remove(m, k);
-        }
-      }
-    }
-    // One DES window per arrival group. Sharded, each metro's control
-    // plane simulates its own serverless pools over its residents' slice of
-    // the global stream (split preserves order and per-user streams); a
-    // rare backhaul-crossing route invokes the remote instance under the
-    // caller metro's pool, modelling per-region serverless scaling.
-    // Unsharded, the whole stream is group 0. Group 0's seed is des_seed, so
-    // the one-metro split reproduces the unsharded window verbatim.
-    std::vector<std::vector<serverless::Arrival>> groups;
-    if (sharded_ != nullptr) {
-      std::vector<int> user_metro(
-          static_cast<std::size_t>(scenario_.num_users()), 0);
-      for (int h = 0; h < scenario_.num_users(); ++h) {
-        user_metro[static_cast<std::size_t>(h)] = metro_of_[
-            static_cast<std::size_t>(scenario_.request(h).attach_node)];
-      }
-      groups = serverless::split_arrivals(arrivals, user_metro,
-                                          std::max(1, config_.metros));
-    } else {
-      groups.push_back(std::move(arrivals));
-    }
-    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const auto metrics = runtime.run(
-          placement_, assignment_, groups[g], policy,
-          des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(g)),
-          have_previous_ ? &carried : nullptr);
-      report.invocations += metrics.totals.invocations;
-      report.cold_serves += metrics.totals.cold_serves;
-      report.requests_completed +=
-          static_cast<std::int64_t>(metrics.requests.size());
-      for (const serverless::RequestOutcome& outcome : metrics.requests) {
-        if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
-          ++report.slo_met;
-        }
-      }
-      if (sharded_ != nullptr && config_.sink != nullptr &&
-          metrics.totals.invocations > 0) {
-        config_.sink->observe(
-            "socl.serve.shard.metro_cold_rate",
-            static_cast<double>(metrics.totals.cold_serves) /
-                static_cast<double>(metrics.totals.invocations));
-      }
-    }
-    report.slo_attainment =
-        report.requests_completed > 0
-            ? static_cast<double>(report.slo_met) /
-                  static_cast<double>(report.requests_completed)
-            : 1.0;
-    report.cold_start_rate =
-        report.invocations > 0
-            ? static_cast<double>(report.cold_serves) /
-                  static_cast<double>(report.invocations)
-            : 0.0;
+  // One DES window per arrival group. Sharded, each metro's control plane
+  // simulates its own serverless pools over its residents' slice of the
+  // global stream (the split preserves order and per-user streams); a rare
+  // backhaul-crossing route invokes the remote instance under the caller
+  // metro's pool, modelling per-region serverless scaling. Unsharded, every
+  // user is in group 0. Group 0's seed is des_seed, so a one-group split
+  // reproduces the whole stream's window verbatim.
+  const int groups = sharded_ != nullptr ? std::max(1, config_.metros) : 1;
+  std::vector<int> group_of(static_cast<std::size_t>(scenario_.num_users()),
+                            0);
+  for (int h = 0; groups > 1 && h < scenario_.num_users(); ++h) {
+    group_of[static_cast<std::size_t>(h)] = metro_of_[
+        static_cast<std::size_t>(scenario_.request(h).attach_node)];
   }
+  const auto windows = serverless::split_arrivals(
+      serverless::generate_arrivals(scenario_.num_users(), arrival_config),
+      group_of, groups);
+  obs::ObsSink* const metro_sink = sharded_ != nullptr ? config_.sink : nullptr;
+  const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+  for (std::size_t g = 0; g < windows.size(); ++g) {
+    const auto metrics = runtime.run(
+        placement_, assignment_, windows[g], policy,
+        des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(g)),
+        have_previous_ ? &carried : nullptr);
+    report.invocations += metrics.totals.invocations;
+    report.cold_serves += metrics.totals.cold_serves;
+    report.requests_completed +=
+        static_cast<std::int64_t>(metrics.requests.size());
+    for (const serverless::RequestOutcome& outcome : metrics.requests) {
+      if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
+        ++report.slo_met;
+      }
+    }
+    if (metro_sink != nullptr && metrics.totals.invocations > 0) {
+      metro_sink->observe(
+          "socl.serve.shard.metro_cold_rate",
+          rate(metrics.totals.cold_serves, metrics.totals.invocations, 0.0));
+    }
+  }
+  report.slo_attainment = rate(report.slo_met, report.requests_completed, 1.0);
+  report.cold_start_rate = rate(report.cold_serves, report.invocations, 0.0);
+}
 
+void ServingLoop::roll_forward(const serverless::SoCLPrewarmPolicy& policy) {
   // This slot's Alg. 2 quotas become next slot's pre-warm prediction.
-  {
-    const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
-    for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
-      for (net::NodeId k = 0; k < scenario_.num_nodes(); ++k) {
-        prewarm_snapshot_[static_cast<std::size_t>(m) * nodes +
-                          static_cast<std::size_t>(k)] =
-            policy.quota(m, k) > 0 ? 1 : 0;
-      }
+  const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
+  for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
+    for (net::NodeId k = 0; k < scenario_.num_nodes(); ++k) {
+      prewarm_snapshot_[static_cast<std::size_t>(m) * nodes +
+                        static_cast<std::size_t>(k)] =
+          policy.quota(m, k) > 0 ? 1 : 0;
     }
   }
   previous_placement_ = placement_;
   have_previous_ = true;
-  last_epoch_ = epoch;
+  last_epoch_ = scenario_.workload_epoch();
   last_substrate_epoch_ = scenario_.substrate_epoch();
-
-  emit_metrics(report, chaos_slot);
-
-  report_.slots.push_back(report);
-  report_.invocations += report.invocations;
-  report_.requests_completed += report.requests_completed;
-  report_.slo_met += report.slo_met;
-  report_.cold_serves += report.cold_serves;
-  report_.classes_total += report.classes;
-  report_.classes_recomputed += report.classes_recomputed;
-  switch (report.mode) {
-    case SlotMode::kCarried: ++report_.carried_slots; break;
-    case SlotMode::kIncremental: ++report_.incremental_slots; break;
-    case SlotMode::kReplan: ++report_.replans; break;
-  }
-  report_.churn_instances += report.placement_churn;
-  report_.churn_cost += report.churn_cost;
-  report_.prewarm_ahead_hits += report.prewarm_ahead_hits;
-  report_.shards_resolved += report.shards_resolved;
-  if (report.repriced) ++report_.reprices;
-  report_.control_s_total += report.control_s;
-  if (chaos_slot != nullptr) {
-    report_.chaos_node_failures += chaos_slot->nodes_failed_now;
-    report_.chaos_link_failures += chaos_slot->links_failed_now;
-    report_.chaos_repairs +=
-        chaos_slot->nodes_repaired_now + chaos_slot->links_repaired_now;
-    report_.chaos_users_rehomed += report.users_rehomed;
-    if (chaos_slot->flash_multiplier > 1.0) ++report_.chaos_flash_slots;
-    if (chaos_slot->degraded()) {
-      ++report_.chaos_degraded_slots;
-      report_.degraded_requests += report.requests_completed;
-      report_.degraded_slo_met += report.slo_met;
-    }
-  }
-  return report;
 }
 
 void ServingLoop::emit_metrics(const SlotReport& report,
@@ -770,17 +724,10 @@ void ServingLoop::emit_metrics(const SlotReport& report,
     }
   }
   sink->add_counter("socl.serve.slots", 1);
-  switch (report.mode) {
-    case SlotMode::kCarried:
-      sink->add_counter("socl.serve.carried_slots", 1);
-      break;
-    case SlotMode::kIncremental:
-      sink->add_counter("socl.serve.incremental_slots", 1);
-      break;
-    case SlotMode::kReplan:
-      sink->add_counter("socl.serve.replans", 1);
-      break;
-  }
+  static constexpr const char* kRungCounters[] = {
+      "socl.serve.carried_slots", "socl.serve.incremental_slots",
+      "socl.serve.replans"};  // SlotMode order
+  sink->add_counter(kRungCounters[static_cast<int>(report.mode)], 1);
   sink->add_counter("socl.serve.classes_total", report.classes);
   sink->add_counter("socl.serve.classes_recomputed",
                     report.classes_recomputed);

@@ -1,58 +1,38 @@
-// Online serving loop: the control plane that fuses the solver, the
-// request-class machinery, and the serverless runtime into one "day in the
-// life" at production scale (DESIGN.md §4i). It is the one online control
-// loop: every time-slotted experiment runs through it.
+// Online serving loop: the one online control loop, fusing the solver, the
+// request-class machinery and the serverless runtime into a "day in the
+// life" at production scale (DESIGN.md §4i, §4k). step() runs fixed stages:
 //
-// Each slot the loop (1) advances the workload — mobility churn, template
-// drift, and a diurnal + bursty Alibaba-style arrival intensity
-// (workload::request_volume_series, the Fig. 4 shape) — then (2) chooses the
-// slot's placement and routes every request class once under it with the
-// reference chain DP (core::ChainRouter), expanding each class route to its
-// members. The rungs differ only in how the placement is chosen:
+//   chaos ingest → workload advance (mobility, drift, cross-metro re-homing)
+//   → class diff → rung choice → replan → economics → cross-check
+//   → DES windows → roll forward → recording
 //
-//   carried      no demand tuple moved: the placement is carried (when the
-//                workload epoch did not move either, the slot does no
-//                routing at all — the previous pass is still exact);
-//   incremental  a small weight fraction of tuples moved: the placement is
-//                carried; a class unroutable under it means coverage was
-//                lost and the slot falls through to a replan;
-//   replan       drift crossed the threshold (or the periodic floor, or the
-//                substrate changed): the warm-start online controller
-//                (core::online) or the sharded coordinator picks a new
-//                placement.
+// The class diff compares every class's demand tuple with the previous
+// slot's (fingerprint-bucketed, exact-equality verified; no routes kept).
+// The rung then picks the placement: carried (no tuple moved; an unchanged
+// workload epoch skips routing), incremental (moved weight under the
+// threshold; lost coverage falls through), or replan (slot one, the periodic
+// floor, a substrate change or a drift breach: the warm-start online
+// controller, or the sharded coordinator). Every rung routes each class once
+// with the reference chain DP (core::ChainRouter) — cheap next to ingesting
+// the workload (DESIGN.md §4i has the figures), and a pure function of tuple
+// and placement, so an unmoved class under a carried placement gets its old
+// route back bit for bit. The DES windows (one per metro when sharded) pay
+// real cold starts for churned instances unless the previous slot's Alg. 2
+// quota snapshot pre-warmed them.
 //
-// The class diff against the previous slot's demand tuples
-// (fingerprint-bucketed, exact-equality verified) drives the replan trigger
-// and the moved/unmoved counts; it keeps no routes. Re-routing every class
-// is cheap next to ingesting the workload (DESIGN.md §4i has the figures),
-// and because the DP is a pure function of tuple and placement, an unmoved
-// class under a carried placement gets its old route back bit for bit.
-//
-// (3) The slot's placement then serves a DES window (src/serverless/):
-// instances churned by a replan pay real cold starts unless the pre-warm
-// lookahead predicted them — the loop snapshots SoCLPrewarmPolicy's Alg. 2
-// quotas each slot and treats quota instances as pre-warmed one slot ahead,
-// modelling a controller that issues warm-up commands for the next slot's
-// placement before rollout. Per-slot and cumulative SLO attainment (DES
-// end-to-end latency vs D_h^max), cold-start rate, and placement-churn cost
-// come back as SlotReport/ServingReport plus `socl.serve.*` metrics
-// (docs/METRICS.md) and a CSV series.
-//
-// Determinism: every field of SlotReport except the wall-clock control
-// latency is a pure function of (config, seed) — identical across runs and
-// thread counts (the DES and routing determinism contracts carry through;
-// test_serving pins it). The optional cross-check lane re-routes every class
-// through the SoA scoring kernel (core::ScoreKernel, an implementation
-// independent of the live ChainRouter pass), requires every user's route
-// and the latency total to match it bit for bit, and runs the independent
-// constraint validator (DESIGN.md §4f).
+// Determinism: every SlotReport field except the wall-clock control_s is a
+// pure function of (config, seed), across runs and thread counts. The
+// cross-check lane re-routes every class through the SoA scoring kernel
+// (core::ScoreKernel, independent of the live pass), requires routes and
+// the latency total to match bit for bit, and runs the constraint validator
+// (DESIGN.md §4f).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/online.h"
@@ -63,6 +43,7 @@
 #include "shard/sharded_solver.h"
 #include "util/rng.h"
 #include "workload/mobility.h"
+#include "workload/request_classes.h"
 
 namespace socl::obs {
 class ObsSink;
@@ -207,8 +188,10 @@ struct SlotReport {
   int users_rehomed = 0;      ///< users moved off dead/isolated stations
   double flash_multiplier = 1.0;
   bool substrate_changed = false;  ///< failures/repairs landed this slot
-  /// Wall-clock control-plane latency (workload ingest → assignment ready).
-  /// The one non-deterministic field; excluded from the CSV series.
+  /// Wall-clock control-plane latency: chaos ingest, workload advance, class
+  /// diff, rung choice, replan and economics — everything up to a ready
+  /// placement and assignment. Excludes the cross-check, the DES windows and
+  /// the roll-forward. The one non-deterministic field; not in the CSV.
   double control_s = 0.0;
 };
 
@@ -255,6 +238,10 @@ struct ServingReport {
   /// incremental path actually performed (1.0 = every slot replanned).
   double recompute_fraction() const;
 
+  /// Appends `slot` and folds it into the day totals; `chaos_slot` (null
+  /// with chaos disabled) feeds the chaos totals.
+  void add(const SlotReport& slot, const SlotChaos* chaos_slot);
+
   /// Per-slot CSV series (deterministic columns only — no wall-clock).
   std::string to_csv() const;
   void write_csv(const std::string& path) const;
@@ -286,20 +273,43 @@ class ServingLoop {
   const std::vector<int>& metro_of() const { return metro_of_; }
 
  private:
+  /// What one slot's stages hand each other besides the SlotReport.
+  struct SlotPlan {
+    const SlotChaos* chaos = nullptr;  ///< null when chaos is disabled
+    bool workload_changed = false;
+    double total_weight = 1.0;  ///< Σ class weight, at least 1
+    int moved = 0;              ///< classes whose tuple is new this slot
+    bool weight_breach = false;  ///< moved weight over the threshold
+    bool periodic_replan = false;
+    bool replan = false;
+    core::PlacementDelta delta;  ///< vs the previous slot's placement
+  };
+
+  // step()'s stages, in order (the header comment names each).
+  void ingest_chaos(SlotReport& report, SlotPlan& plan);
   /// Returns the number of users re-homed off dead/isolated stations
   /// (always 0 outside degraded chaos slots).
   int advance_workload();
+  void diff_classes(SlotReport& report, SlotPlan& plan);
+  void choose_rung(SlotReport& report, SlotPlan& plan);
+  void replan(SlotReport& report, bool periodic);
+  void settle_economics(SlotReport& report, SlotPlan& plan);
+  void cross_check(SlotReport& report) const;
+  void serve_windows(SlotReport& report, const SlotPlan& plan,
+                     const serverless::SoCLPrewarmPolicy& policy);
+  void roll_forward(const serverless::SoCLPrewarmPolicy& policy);
+  void emit_metrics(const SlotReport& report, const SlotChaos* chaos_slot);
+
+  /// The carried placement the DES opens warm: the previous slot's, plus
+  /// added instances the pre-warm snapshot predicted, minus failed nodes.
+  core::Placement warm_pools(SlotReport& report, const SlotPlan& plan) const;
   /// (Re)creates the sharded coordinator against the current scenario —
   /// used at construction and on every substrate change.
   void rebuild_sharded();
-  /// True when `rep`'s exact demand tuple was one of the previous slot's
-  /// classes (fingerprint-bucketed, exact-equality verified).
-  bool tuple_seen(const workload::UserRequest& rep) const;
   /// Routes every class once under placement_ and expands each route to
   /// the class members in assignment_; sets latency_total_. Returns false
   /// when some class is unroutable (assignment_ is then incomplete).
   bool route_classes();
-  void emit_metrics(const SlotReport& report, const SlotChaos* chaos_slot);
   double slot_intensity(int slot) const;
 
   ServingConfig config_;
@@ -342,10 +352,20 @@ class ServingLoop {
   core::Assignment assignment_;
   /// Σ_c weight_c · D_c of assignment_ (the slot economics' latency term).
   double latency_total_ = 0.0;
-  /// Demand tuple of every class of the last routed workload (class-index
-  /// order) and the fingerprint index over them — the next slot's diff.
-  std::vector<workload::UserRequest> tuples_;
-  std::unordered_map<std::uint64_t, std::vector<int>> tuple_index_;
+  /// Demand tuple of every class of the last routed workload — the next
+  /// slot's diff (fingerprint-bucketed, exact-equality verified).
+  struct TupleHash {
+    std::size_t operator()(const workload::UserRequest& r) const {
+      return workload::request_fingerprint(r);
+    }
+  };
+  struct TupleEqual {
+    bool operator()(const workload::UserRequest& a,
+                    const workload::UserRequest& b) const {
+      return workload::same_request_class(a, b);
+    }
+  };
+  std::unordered_set<workload::UserRequest, TupleHash, TupleEqual> tuples_;
   /// Alg. 2 quota snapshot from the previous slot (ms × nodes), the
   /// pre-warm lookahead's prediction of where demand concentrates next.
   std::vector<std::uint8_t> prewarm_snapshot_;

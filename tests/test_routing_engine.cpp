@@ -360,14 +360,15 @@ TEST(RoutingEngine, ConvenienceOverloadsSafeDuringScoreCandidates) {
   std::atomic<bool> stop{false};
   std::vector<double> hammered;
   std::thread hammer([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    // One pass even if the scoring rounds end before this thread runs.
+    do {
       hammered.push_back(engine.full_objective(fx.pre.placement));
       const auto [m, k] = candidates.front();
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
       hammered.push_back(engine.objective_without(m, k, trial));
       hammered.push_back(engine.objective_with_change(trial, m));
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   for (int round = 0; round < 20; ++round) {
     const auto scores = score_once();
