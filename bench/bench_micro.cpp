@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // routing DP, the scoring kernel, virtual-link construction, latency-loss
-// updates, the simplex engine, the end-to-end SoCL solve and the sharded
-// price search.
+// updates, the simplex engine, the end-to-end SoCL solve, the sharded
+// price search, and a serving slot's data plane (arrival generation and one
+// DES window).
 #include <benchmark/benchmark.h>
 
 #include <limits>
@@ -13,6 +14,7 @@
 #include "core/routing_engine.h"
 #include "ilp/socl_ilp.h"
 #include "net/multi_metro.h"
+#include "serve/serving_loop.h"
 #include "shard/sharded_solver.h"
 #include "workload/request_gen.h"
 
@@ -255,6 +257,65 @@ void BM_ShardedPriceSearch(benchmark::State& state) {
   state.counters["price_iterations"] = iterations;
 }
 BENCHMARK(BM_ShardedPriceSearch)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// perfbench serving_day's arrival stream for one slot: 100k users, a 30 s
+// window in 40 bins at 3e-3 requests/user/s (per-bin means around 2e-3).
+serverless::ArrivalConfig serving_day_arrivals() {
+  serverless::ArrivalConfig config;
+  config.horizon_s = 30.0;
+  config.bins = 40;
+  config.mean_rate = 3e-3;
+  return config;
+}
+
+void BM_GenerateArrivals(benchmark::State& state) {
+  const int users = 100'000;
+  const serverless::ArrivalConfig config = serving_day_arrivals();
+  std::size_t arrivals = 0;
+  for (auto _ : state) {
+    const auto stream = serverless::generate_arrivals(users, config);
+    arrivals = stream.size();
+    benchmark::DoNotOptimize(stream.data());
+  }
+  state.counters["arrivals"] = static_cast<double>(arrivals);
+}
+BENCHMARK(BM_GenerateArrivals)->Unit(benchmark::kMillisecond);
+
+// One serving_day-sized DES window: the perfbench serving_day geometry (16
+// nodes, 200 templates replicated to 100k users) after its first replan,
+// serving BM_GenerateArrivals' stream under the Alg. 2 pre-warm policy with
+// the replan's placement carried, on perfbench's 2 DES threads.
+void BM_DesWindow(benchmark::State& state) {
+  static const auto loop = [] {
+    serve::ServingConfig config;
+    config.scenario.num_nodes = 16;
+    config.scenario.num_users = 200;  // templates
+    config.population = 100'000;
+    config.slots = 1;
+    config.slot_horizon_s = 30.0;
+    config.arrivals = serving_day_arrivals();
+    config.online.socl.combination.threads = 2;
+    config.runtime.threads = 2;
+    auto built = std::make_unique<serve::ServingLoop>(config);
+    built->step();
+    return built;
+  }();
+  const auto& scenario = loop->scenario();
+  const auto arrivals = serverless::generate_arrivals(
+      scenario.num_users(), serving_day_arrivals());
+  const serverless::SoCLPrewarmPolicy policy(scenario);
+  const serverless::ServerlessRuntime runtime(scenario, loop->config().runtime);
+  std::int64_t invocations = 0;
+  for (auto _ : state) {
+    const auto metrics = runtime.run(loop->placement(), loop->assignment(),
+                                     arrivals, policy, 7, &loop->placement());
+    invocations = metrics.totals.invocations;
+    benchmark::DoNotOptimize(metrics.requests.data());
+  }
+  state.counters["arrivals"] = static_cast<double>(arrivals.size());
+  state.counters["invocations"] = static_cast<double>(invocations);
+}
+BENCHMARK(BM_DesWindow)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LatencyLossList(benchmark::State& state) {
   const auto& scenario = shared_scenario();

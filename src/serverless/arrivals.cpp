@@ -1,6 +1,7 @@
 #include "serverless/arrivals.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -52,14 +53,29 @@ std::vector<Arrival> generate_arrivals(int num_users,
   const double bin_len =
       config.horizon_s / static_cast<double>(config.bins);
 
+  // A bin's mean is the same for every user, so its Knuth threshold
+  // exp(-mean) is computed once here. Bins outside Knuth's range (mean <= 0,
+  // >= 30 or NaN) keep threshold 0 and draw through Rng::poisson, which keeps
+  // its exceptions and its normal approximation.
+  std::vector<double> expected(profile.size());
+  std::vector<double> threshold(profile.size(), 0.0);
+  for (std::size_t b = 0; b < profile.size(); ++b) {
+    expected[b] = config.mean_rate * bin_len * profile[b];
+    if (expected[b] > 0.0 && expected[b] < 30.0) {
+      threshold[b] = std::exp(-expected[b]);
+    }
+  }
+
   std::vector<Arrival> all;
+  std::vector<double> times;
   for (int u = 0; u < num_users; ++u) {
     util::Rng rng(mix_stream(config.seed, static_cast<std::uint64_t>(u)));
-    std::vector<double> times;
+    times.clear();
     for (int b = 0; b < config.bins; ++b) {
-      const double expected =
-          config.mean_rate * bin_len * profile[static_cast<std::size_t>(b)];
-      const auto count = rng.poisson(expected);
+      const auto bin = static_cast<std::size_t>(b);
+      const auto count = threshold[bin] > 0.0
+                             ? rng.poisson_knuth(threshold[bin])
+                             : rng.poisson(expected[bin]);
       const double lo = static_cast<double>(b) * bin_len;
       for (std::uint64_t i = 0; i < count; ++i) {
         times.push_back(lo + rng.uniform(0.0, bin_len));

@@ -97,7 +97,9 @@ struct UserRoute {
 };
 
 struct Job {
-  int user = -1;
+  /// Index of the job's user in the window's distinct arriving users (and
+  /// so into their route tables).
+  int route = -1;
   int seq = 0;
   std::size_t pos = 0;
   double arrival = 0.0;
@@ -153,14 +155,17 @@ RuntimeMetrics ServerlessRuntime::run(
   const int concurrency = config_.concurrency;
 
   // ---- Pools for every deployed instance ----
+  const auto slot = [nodes](MsId m, NodeId k) {
+    return static_cast<std::size_t>(m) * static_cast<std::size_t>(nodes) +
+           static_cast<std::size_t>(k);
+  };
   std::vector<int> pool_of(
       static_cast<std::size_t>(num_ms) * static_cast<std::size_t>(nodes), -1);
   std::vector<Pool> pools;
   for (MsId m = 0; m < num_ms; ++m) {
     for (NodeId k = 0; k < nodes; ++k) {
       if (!placement.deployed(m, k)) continue;
-      pool_of[static_cast<std::size_t>(m) * static_cast<std::size_t>(nodes) +
-              static_cast<std::size_t>(k)] = static_cast<int>(pools.size());
+      pool_of[slot(m, k)] = static_cast<int>(pools.size());
       Pool pool;
       pool.node = k;
       pool.ms = m;
@@ -168,12 +173,52 @@ RuntimeMetrics ServerlessRuntime::run(
     }
   }
 
-  // ---- Static per-user route tables (pure; fans out over users) ----
+  // ---- Every user's assignment must use deployed pools ----
+  // Checked over the whole population (not only this window's arrivals) so
+  // that a bad assignment fails the same way whichever users happen to
+  // arrive. Lookups only: no allocation, no transfer or compute arithmetic.
   const auto& requests = scenario.requests();
-  std::vector<UserRoute> routes(requests.size());
-  const auto build_route = [&](std::size_t h) {
-    const auto& request = requests[h];
-    UserRoute& route = routes[h];
+  for (const auto& request : requests) {
+    for (std::size_t pos = 0; pos < request.chain.size(); ++pos) {
+      const NodeId k = assignment.node_for(request.id, static_cast<int>(pos));
+      if (k < 0 || k >= nodes || pool_of[slot(request.chain[pos], k)] < 0) {
+        throw std::invalid_argument(
+            "ServerlessRuntime: assignment uses an undeployed instance");
+      }
+    }
+  }
+
+  // ---- The window's distinct arriving users, and one job per arrival ----
+  std::vector<int> route_users;
+  route_users.reserve(arrivals.size());
+  for (const auto& arrival : arrivals) {
+    if (arrival.user < 0 ||
+        static_cast<std::size_t>(arrival.user) >= requests.size()) {
+      throw std::invalid_argument("ServerlessRuntime: arrival user id");
+    }
+    route_users.push_back(arrival.user);
+  }
+  std::sort(route_users.begin(), route_users.end());
+  route_users.erase(std::unique(route_users.begin(), route_users.end()),
+                    route_users.end());
+  std::vector<Job> jobs;
+  jobs.reserve(arrivals.size());
+  for (const auto& arrival : arrivals) {
+    Job job;
+    job.route = static_cast<int>(
+        std::lower_bound(route_users.begin(), route_users.end(),
+                         arrival.user) -
+        route_users.begin());
+    job.seq = arrival.seq;
+    job.arrival = arrival.time_s;
+    jobs.push_back(job);
+  }
+
+  // ---- Static route tables for arriving users (pure; fans out) ----
+  std::vector<UserRoute> routes(route_users.size());
+  const auto build_route = [&](std::size_t r) {
+    const auto& request = requests[static_cast<std::size_t>(route_users[r])];
+    UserRoute& route = routes[r];
     const std::size_t len = request.chain.size();
     route.pool.resize(len);
     route.transfer_in.resize(len);
@@ -182,15 +227,7 @@ RuntimeMetrics ServerlessRuntime::run(
     for (std::size_t pos = 0; pos < len; ++pos) {
       const NodeId k = assignment.node_for(request.id, static_cast<int>(pos));
       const MsId m = request.chain[pos];
-      const int pi =
-          pool_of[static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(nodes) +
-                  static_cast<std::size_t>(k)];
-      if (pi < 0) {
-        throw std::invalid_argument(
-            "ServerlessRuntime: assignment uses an undeployed instance");
-      }
-      route.pool[pos] = pi;
+      route.pool[pos] = pool_of[slot(m, k)];
       const double data =
           pos == 0 ? request.data_in : request.edge_data[pos - 1];
       route.transfer_in[pos] = vlinks.transfer_time(data, prev, k);
@@ -202,28 +239,19 @@ RuntimeMetrics ServerlessRuntime::run(
         request.data_out, prev,
         assignment.node_for(request.id, 0));
   };
-  if (config_.threads != 1 && requests.size() > 1) {
+  if (config_.threads != 1 && routes.size() > 1) {
     util::ThreadPool pool(static_cast<std::size_t>(
         config_.threads > 0 ? config_.threads : 0));
-    pool.parallel_for(requests.size(), build_route);
+    pool.parallel_for(routes.size(), build_route);
   } else {
-    for (std::size_t h = 0; h < requests.size(); ++h) build_route(h);
+    for (std::size_t r = 0; r < routes.size(); ++r) build_route(r);
   }
-
-  // ---- Jobs (one per arrival) ----
-  std::vector<Job> jobs;
-  jobs.reserve(arrivals.size());
-  for (const auto& arrival : arrivals) {
-    if (arrival.user < 0 ||
-        static_cast<std::size_t>(arrival.user) >= requests.size()) {
-      throw std::invalid_argument("ServerlessRuntime: arrival user id");
-    }
-    Job job;
-    job.user = arrival.user;
-    job.seq = arrival.seq;
-    job.arrival = arrival.time_s;
-    jobs.push_back(job);
-  }
+  const auto route_of = [&](const Job& job) -> const UserRoute& {
+    return routes[static_cast<std::size_t>(job.route)];
+  };
+  const auto user_of = [&](const Job& job) {
+    return route_users[static_cast<std::size_t>(job.route)];
+  };
 
   RuntimeMetrics metrics;
   RuntimeTotals& totals = metrics.totals;
@@ -355,11 +383,10 @@ RuntimeMetrics ServerlessRuntime::run(
       ++bin_invocations[b];
       if (cold_serve) ++bin_cold[b];
     }
-    double proc = routes[static_cast<std::size_t>(job.user)]
-                      .proc_base[job.pos];
+    double proc = route_of(job).proc_base[job.pos];
     if (config_.proc_jitter_sigma > 0.0) {
       util::Rng rng(mix(seed ^ 0x9D0C3551ULL,
-                        static_cast<std::uint64_t>(job.user),
+                        static_cast<std::uint64_t>(user_of(job)),
                         static_cast<std::uint64_t>(job.seq),
                         static_cast<std::uint64_t>(job.pos)));
       proc *= lognormal_mean(rng, 1.0, config_.proc_jitter_sigma);
@@ -442,8 +469,7 @@ RuntimeMetrics ServerlessRuntime::run(
         const int ji = event.a;
         Job& job = jobs[static_cast<std::size_t>(ji)];
         job.pos = 0;
-        const double d_in =
-            routes[static_cast<std::size_t>(job.user)].transfer_in[0];
+        const double d_in = route_of(job).transfer_in[0];
         job.transfer_s += d_in;
         push(now + d_in, EventKind::kStageArrive, ji, 0);
         break;
@@ -452,8 +478,7 @@ RuntimeMetrics ServerlessRuntime::run(
         const int ji = event.a;
         Job& job = jobs[static_cast<std::size_t>(ji)];
         job.pos = static_cast<std::size_t>(event.b);
-        const int pi =
-            routes[static_cast<std::size_t>(job.user)].pool[job.pos];
+        const int pi = route_of(job).pool[job.pos];
         Pool& pool = pools[static_cast<std::size_t>(pi)];
         const int ci = find_free(pool);
         if (ci >= 0) {
@@ -493,7 +518,7 @@ RuntimeMetrics ServerlessRuntime::run(
           schedule_expire(pi, ci, now);
         }
         Job& job = jobs[static_cast<std::size_t>(ji)];
-        const auto& route = routes[static_cast<std::size_t>(job.user)];
+        const auto& route = route_of(job);
         if (job.pos + 1 < route.pool.size()) {
           const double tr = route.transfer_in[job.pos + 1];
           job.transfer_s += tr;
@@ -545,7 +570,7 @@ RuntimeMetrics ServerlessRuntime::run(
       case EventKind::kRequestDone: {
         const Job& job = jobs[static_cast<std::size_t>(event.a)];
         RequestOutcome outcome;
-        outcome.user = job.user;
+        outcome.user = user_of(job);
         outcome.seq = job.seq;
         outcome.arrival_s = job.arrival;
         outcome.finish_s = now;

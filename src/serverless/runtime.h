@@ -19,8 +19,8 @@
 // every stochastic draw (cold-start durations, keep-alive, processing
 // jitter) comes from a counter-keyed RNG stream, pure in (seed, entity ids).
 // The same seed therefore reproduces the identical event log across runs and
-// thread counts (the only parallelism is the pure per-user route-table
-// precompute).
+// thread counts (the only parallelism is the pure route-table precompute for
+// the window's arriving users).
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,11 @@ struct ServerlessConfig {
   /// Resolution of the emitted cold-start-rate / pool-utilisation series
   /// (0 disables the series).
   int series_bins = 0;
-  /// Worker threads for the pure per-user route-table precompute
-  /// (1 = serial, 0 = hardware concurrency). Results are bit-identical for
-  /// any value.
+  /// Worker threads for the pure route-table precompute, which covers only
+  /// the users with an arrival in the window (1 = serial, 0 = hardware
+  /// concurrency; a window with fewer than two arriving users runs serially).
+  /// Each run() that fans out builds its own pool for the call. Results are
+  /// bit-identical for any value.
   int threads = 1;
   /// Observability sink: each run() emits a `serverless.run` span, the
   /// `socl.serverless.*` lifecycle counters, and per-request latency
@@ -137,6 +139,10 @@ class ServerlessRuntime {
   /// window with a free warm container, while instances absent from
   /// `carried` must boot — churned deployments pay real cold starts. Pass
   /// nullptr for a steady-state window (every pool opens warm per policy).
+  ///
+  /// Throws std::invalid_argument when any user's assignment — arriving in
+  /// this window or not — uses an instance `placement` does not deploy, or
+  /// when an arrival names a user the scenario does not have.
   ///
   /// `event_log`, when non-null, receives every processed event in order.
   RuntimeMetrics run(const core::Placement& placement,

@@ -86,19 +86,20 @@ double Rng::exponential(double rate) {
 std::uint64_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
   if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    const double threshold = std::exp(-mean);
-    std::uint64_t count = 0;
-    double product = uniform();
-    while (product > threshold) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
+  if (mean < 30.0) return poisson_knuth(std::exp(-mean));
   // Normal approximation with continuity correction for large means.
   const double draw = normal(mean, std::sqrt(mean));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
+}
+
+std::uint64_t Rng::poisson_knuth(double threshold) {
+  std::uint64_t count = 0;
+  double product = uniform();
+  while (product > threshold) {
+    ++count;
+    product *= uniform();
+  }
+  return count;
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

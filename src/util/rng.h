@@ -50,6 +50,11 @@ class Rng {
   /// Poisson-distributed count (Knuth for small means, normal approx above).
   std::uint64_t poisson(double mean);
 
+  /// Knuth's Poisson draw against a precomputed `threshold` = exp(-mean):
+  /// for 0 < mean < 30, poisson(mean) makes exactly this draw. Lets callers
+  /// that draw many counts with one mean evaluate the exp once.
+  std::uint64_t poisson_knuth(double threshold);
+
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);
 

@@ -4,7 +4,8 @@
 // the failed-node cap, chaotic-day determinism across runs and DES thread
 // counts, cross-check cleanliness of every degraded slot, forced replans on
 // substrate changes, the chaos-off CSV identity, and the sharded re-price
-// on substrate change (with the day ledger folded from its slots).
+// on substrate change (with the day ledger folded from its slots), also on a
+// sharded day whose carried placement outlives a failure.
 #include "serve/chaos.h"
 
 #include <gtest/gtest.h>
@@ -267,6 +268,46 @@ void expect_slots_equal(const std::vector<SlotReport>& a,
   }
 }
 
+/// The day ledger (ServingReport::add) is the fold of its slots: every total
+/// a SlotReport carries, summed in slot order (so bit-equal).
+void expect_ledger_is_fold(const ServingReport& report) {
+  ServingReport fold;
+  for (const SlotReport& slot : report.slots) {
+    fold.invocations += slot.invocations;
+    fold.requests_completed += slot.requests_completed;
+    fold.slo_met += slot.slo_met;
+    fold.cold_serves += slot.cold_serves;
+    fold.classes_total += slot.classes;
+    fold.classes_recomputed += slot.classes_recomputed;
+    fold.carried_slots += slot.mode == SlotMode::kCarried ? 1 : 0;
+    fold.incremental_slots += slot.mode == SlotMode::kIncremental ? 1 : 0;
+    fold.replans += slot.mode == SlotMode::kReplan ? 1 : 0;
+    fold.churn_instances += slot.placement_churn;
+    fold.churn_cost += slot.churn_cost;
+    fold.prewarm_ahead_hits += slot.prewarm_ahead_hits;
+    fold.shards_resolved += slot.shards_resolved;
+    fold.reprices += slot.repriced ? 1 : 0;
+    fold.control_s_total += slot.control_s;
+    fold.chaos_users_rehomed += slot.users_rehomed;
+    fold.chaos_flash_slots += slot.flash_multiplier > 1.0 ? 1 : 0;
+    if (slot.failed_nodes > 0 || slot.failed_links > 0) {
+      ++fold.chaos_degraded_slots;
+      fold.degraded_requests += slot.requests_completed;
+      fold.degraded_slo_met += slot.slo_met;
+    }
+  }
+  const auto totals = [](const ServingReport& r) {
+    return std::make_tuple(
+        r.invocations, r.requests_completed, r.slo_met, r.cold_serves,
+        r.classes_total, r.classes_recomputed, r.carried_slots,
+        r.incremental_slots, r.replans, r.churn_instances, r.churn_cost,
+        r.prewarm_ahead_hits, r.shards_resolved, r.reprices,
+        r.control_s_total, r.chaos_users_rehomed, r.chaos_flash_slots,
+        r.chaos_degraded_slots, r.degraded_requests, r.degraded_slo_met);
+  };
+  EXPECT_EQ(totals(report), totals(fold));
+}
+
 TEST(ServingLoopChaos, ChaoticDayDeterministicAcrossRunsAndThreadCounts) {
   const ServingConfig config = chaotic_config(61);
   const ServingReport first = ServingLoop(config).run();
@@ -376,48 +417,50 @@ TEST(ServingLoopChaos, ShardedChaoticDayRepricesOnSubstrateChange) {
   EXPECT_GT(substrate_changes, 0);
   EXPECT_GT(report.reprices, 0);
 
-  // The day ledger (ServingReport::add) is the fold of its slots: every
-  // total a SlotReport carries, summed in slot order (so bit-equal).
-  ServingReport fold;
-  for (const SlotReport& slot : report.slots) {
-    fold.invocations += slot.invocations;
-    fold.requests_completed += slot.requests_completed;
-    fold.slo_met += slot.slo_met;
-    fold.cold_serves += slot.cold_serves;
-    fold.classes_total += slot.classes;
-    fold.classes_recomputed += slot.classes_recomputed;
-    fold.carried_slots += slot.mode == SlotMode::kCarried ? 1 : 0;
-    fold.incremental_slots += slot.mode == SlotMode::kIncremental ? 1 : 0;
-    fold.replans += slot.mode == SlotMode::kReplan ? 1 : 0;
-    fold.churn_instances += slot.placement_churn;
-    fold.churn_cost += slot.churn_cost;
-    fold.prewarm_ahead_hits += slot.prewarm_ahead_hits;
-    fold.shards_resolved += slot.shards_resolved;
-    fold.reprices += slot.repriced ? 1 : 0;
-    fold.control_s_total += slot.control_s;
-    fold.chaos_users_rehomed += slot.users_rehomed;
-    fold.chaos_flash_slots += slot.flash_multiplier > 1.0 ? 1 : 0;
-    if (slot.failed_nodes > 0 || slot.failed_links > 0) {
-      ++fold.chaos_degraded_slots;
-      fold.degraded_requests += slot.requests_completed;
-      fold.degraded_slo_met += slot.slo_met;
-    }
-  }
-  const auto totals = [](const ServingReport& r) {
-    return std::make_tuple(
-        r.invocations, r.requests_completed, r.slo_met, r.cold_serves,
-        r.classes_total, r.classes_recomputed, r.carried_slots,
-        r.incremental_slots, r.replans, r.churn_instances, r.churn_cost,
-        r.prewarm_ahead_hits, r.shards_resolved, r.reprices,
-        r.control_s_total, r.chaos_users_rehomed, r.chaos_flash_slots,
-        r.chaos_degraded_slots, r.degraded_requests, r.degraded_slo_met);
-  };
-  EXPECT_EQ(totals(report), totals(fold));
+  expect_ledger_is_fold(report);
   // The day is non-trivial on every rung of the ledger it pins.
   EXPECT_GT(report.shards_resolved, 0);
   EXPECT_GT(report.churn_instances, 0);
   EXPECT_GT(report.chaos_degraded_slots, 0);
   EXPECT_GT(report.chaos_users_rehomed + report.chaos_flash_slots, 0);
+}
+
+TEST(ServingLoopChaos, ShardedChaoticDayKeepsCarriedPlacementBetweenChanges) {
+  // The day above replans on every slot. Here chaos starts late and the
+  // workload moves slowly, so the sharded loop also keeps its carried
+  // placement (carried or incremental rung) — on the healthy opening and
+  // between substrate changes — and every one of those slots must pass the
+  // same cross-check and validator as a replan.
+  ServingConfig config = chaotic_config(79);
+  config.scenario.num_nodes = 5;  // per metro
+  config.metros = 2;
+  config.sharded = true;
+  config.cross_check = true;
+  config.slots = 14;
+  config.scenario.constants.budget = 13000.0;  // 2× coverage floor
+  config.mobility.move_prob = 0.02;
+  config.drift_prob = 0.0;
+  config.chaos.first_slot = 6;
+
+  const ServingReport report = ServingLoop(config).run();
+  ASSERT_EQ(report.slots.size(), 14u);
+  int kept_on_degraded = 0;
+  for (const SlotReport& slot : report.slots) {
+    SCOPED_TRACE("slot " + std::to_string(slot.slot));
+    EXPECT_TRUE(slot.full_reroute_matches);
+    EXPECT_EQ(slot.validator_violations, 0);
+    if (slot.substrate_changed) {
+      EXPECT_EQ(slot.mode, SlotMode::kReplan);
+    }
+    if (slot.mode != SlotMode::kReplan &&
+        (slot.failed_nodes > 0 || slot.failed_links > 0)) {
+      ++kept_on_degraded;
+    }
+  }
+  expect_ledger_is_fold(report);
+  EXPECT_GT(report.carried_slots + report.incremental_slots, 0);
+  EXPECT_GT(report.chaos_degraded_slots, 0);
+  EXPECT_GT(kept_on_degraded, 0);  // a carried plan outlived a failure
 }
 
 }  // namespace

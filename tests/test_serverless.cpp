@@ -1,11 +1,14 @@
-// Tests for the serverless container-runtime simulator: arrival streams,
-// event-ordering determinism, cold-start accounting conservation, keep-alive
+// Tests for the serverless container-runtime simulator: arrival streams
+// (against a per-draw Poisson reference), event-ordering determinism, the
+// all-user assignment check, cold-start accounting conservation, keep-alive
 // capacity reclamation, evaluator reproduction in the zero-overhead
 // configuration, and the scaling policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/partition.h"
 #include "core/preprovision.h"
@@ -14,6 +17,7 @@
 #include "serverless/arrivals.h"
 #include "serverless/policy.h"
 #include "serverless/runtime.h"
+#include "util/rng.h"
 
 namespace socl::serverless {
 namespace {
@@ -94,6 +98,85 @@ TEST(Arrivals, PerUserStreamIndependentOfPopulation) {
   }
 }
 
+/// generate_arrivals drawn the direct way, as the oracle for its per-bin
+/// threshold reuse: one util::Rng::poisson call per user and bin, on the
+/// same per-user stream.
+std::vector<Arrival> reference_arrivals(int num_users,
+                                        const ArrivalConfig& config) {
+  const auto profile = arrival_profile(config);
+  const double bin_len = config.horizon_s / static_cast<double>(config.bins);
+  std::vector<Arrival> all;
+  for (int u = 0; u < num_users; ++u) {
+    const auto stream = static_cast<std::uint64_t>(u);
+    util::Rng rng(config.seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1)));
+    std::vector<double> times;
+    for (int b = 0; b < config.bins; ++b) {
+      const auto count = rng.poisson(config.mean_rate * bin_len *
+                                     profile[static_cast<std::size_t>(b)]);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        times.push_back(static_cast<double>(b) * bin_len +
+                        rng.uniform(0.0, bin_len));
+      }
+    }
+    std::sort(times.begin(), times.end());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      all.push_back({times[i], u, static_cast<int>(i)});
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const Arrival& a, const Arrival& b) {
+    if (a.time_s != b.time_s) return a.time_s < b.time_s;
+    if (a.user != b.user) return a.user < b.user;
+    return a.seq < b.seq;
+  });
+  return all;
+}
+
+void expect_reference_arrivals(int num_users, const ArrivalConfig& config) {
+  SCOPED_TRACE("users " + std::to_string(num_users) + " bins " +
+               std::to_string(config.bins) + " burstiness " +
+               std::to_string(config.burstiness) + " rate " +
+               std::to_string(config.mean_rate));
+  const auto got = generate_arrivals(num_users, config);
+  const auto want = reference_arrivals(num_users, config);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].time_s),
+              std::bit_cast<std::uint64_t>(want[i].time_s))
+        << "arrival " << i;
+    ASSERT_EQ(got[i].user, want[i].user) << "arrival " << i;
+    ASSERT_EQ(got[i].seq, want[i].seq) << "arrival " << i;
+  }
+}
+
+TEST(Arrivals, MatchesPerDrawPoissonReference) {
+  for (const int users : {0, 1, 2000}) {
+    for (const int bins : {1, 40}) {
+      for (const double burstiness : {0.0, 3.0}) {
+        ArrivalConfig config;
+        config.horizon_s = 30.0;
+        config.bins = bins;
+        config.burstiness = burstiness;
+        config.seed = 9;
+        // serving_day's per-bin means (about 2e-3), and no arrivals at all.
+        for (const double rate : {3e-3, 0.0}) {
+          config.mean_rate = rate;
+          expect_reference_arrivals(users, config);
+        }
+        // Per-bin means around 30: the flat profile sits exactly on the
+        // normal-approximation cut, the bursty one straddles it, so Knuth
+        // draws interleave with normal draws (which cache a second variate
+        // in the Rng).
+        config.horizon_s = 15.0 * bins;
+        config.mean_rate = 2.0;
+        expect_reference_arrivals(std::min(users, 20), config);
+      }
+    }
+  }
+  ArrivalConfig negative = default_arrivals();
+  negative.mean_rate = -1.0;
+  EXPECT_THROW(generate_arrivals(1, negative), std::invalid_argument);
+}
+
 TEST(Arrivals, BurstinessWidensProfileSpread) {
   ArrivalConfig flat = default_arrivals();
   flat.burstiness = 0.0;
@@ -139,6 +222,40 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
                        runs[i].requests[r].cold_s);
     }
   }
+}
+
+TEST(Runtime, RejectsUndeployedAssignmentOfUserWithoutArrivals) {
+  // Route tables are built only for arriving users, but the assignment check
+  // still covers every user: a bad route throws even when its user is idle.
+  const Fixture fx(29);
+  const std::vector<Arrival> arrivals = {{1.0, 0, 0}};
+  const ServerlessRuntime runtime(fx.scenario, ServerlessConfig{});
+  EXPECT_NO_THROW(runtime.run(fx.placement, fx.assignment, arrivals,
+                              ReactivePolicy(), 5));
+
+  const int idle = fx.scenario.num_users() - 1;
+  const MsId m =
+      fx.scenario.requests()[static_cast<std::size_t>(idle)].chain[0];
+  NodeId undeployed = net::kInvalidNode;
+  for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
+    if (!fx.placement.deployed(m, k)) undeployed = k;
+  }
+  ASSERT_NE(undeployed, net::kInvalidNode);
+  core::Assignment broken = fx.assignment;
+  broken.set(idle, 0, undeployed);
+  EXPECT_THROW(
+      runtime.run(fx.placement, broken, arrivals, ReactivePolicy(), 5),
+      std::invalid_argument);
+  EXPECT_THROW(runtime.run(fx.placement, broken, std::span<const Arrival>(),
+                           ReactivePolicy(), 5),
+               std::invalid_argument);
+  // An unassigned position is no pool either (it must not alias the
+  // previous service's last node in the pool table).
+  core::Assignment unassigned = fx.assignment;
+  unassigned.set(idle, 0, net::kInvalidNode);
+  EXPECT_THROW(
+      runtime.run(fx.placement, unassigned, arrivals, ReactivePolicy(), 5),
+      std::invalid_argument);
 }
 
 TEST(Runtime, ColdStartAccountingConserved) {
