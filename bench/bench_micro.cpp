@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // routing DP, the scoring kernel, virtual-link construction, latency-loss
 // updates, the simplex engine, the end-to-end SoCL solve, the sharded
-// price search, and a serving slot's data plane (arrival generation and one
-// DES window).
+// price search, request-class aggregation of a 100k-user population, and a
+// serving slot's data plane (arrival generation and one DES window).
 #include <benchmark/benchmark.h>
 
 #include <limits>
@@ -16,6 +16,8 @@
 #include "net/multi_metro.h"
 #include "serve/serving_loop.h"
 #include "shard/sharded_solver.h"
+#include "util/rng.h"
+#include "workload/request_classes.h"
 #include "workload/request_gen.h"
 
 namespace {
@@ -316,6 +318,30 @@ void BM_DesWindow(benchmark::State& state) {
   state.counters["invocations"] = static_cast<double>(invocations);
 }
 BENCHMARK(BM_DesWindow)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Population ingest at serving_day size: 200 templates on 16 nodes
+// replicated to 100k users with seeded attach nodes (3,200 classes),
+// aggregated into request classes once per iteration.
+void BM_RequestClasses(benchmark::State& state) {
+  static const auto population = [] {
+    const auto scenario = core::make_scenario(bench::paper_config(16, 200), 3);
+    auto requests = workload::replicate_requests(scenario.requests(), 100'000);
+    util::Rng rng(0xa77ac4ULL);
+    for (auto& request : requests) {
+      request.attach_node = static_cast<net::NodeId>(rng.index(16));
+    }
+    return requests;
+  }();
+  int classes = 0;
+  for (auto _ : state) {
+    const workload::RequestClasses aggregated(population);
+    classes = aggregated.num_classes();
+    benchmark::DoNotOptimize(classes);
+  }
+  state.counters["users"] = static_cast<double>(population.size());
+  state.counters["classes"] = static_cast<double>(classes);
+}
+BENCHMARK(BM_RequestClasses)->Unit(benchmark::kMillisecond);
 
 void BM_LatencyLossList(benchmark::State& state) {
   const auto& scenario = shared_scenario();

@@ -10,16 +10,19 @@
 // descent (multi-start) and polish are where scoring dominates, and
 // ablating them would measure the kernel mostly on degenerate one-lane DPs.
 //
-// The table reports classes / compression (the socl.scale.* gauges), wall
-// time per path, the kernel speedup, and whether objectives are
-// bit-identical (they must be: the kernel evaluates the legacy DP's
-// expressions in the legacy order, so any difference is a bug). `--check`
-// turns the invariants into a nonzero exit status for CI:
+// The table reports classes / compression (the socl.scale.* gauges), the
+// ingest time of the population (Scenario::set_requests: validation, demand
+// indices and class aggregation), wall time per path, the kernel speedup,
+// and whether objectives are bit-identical (they must be: the kernel
+// evaluates the legacy DP's expressions in the legacy order, so any
+// difference is a bug). `--check` turns the invariants into a nonzero exit
+// status for CI:
 //   * objectives bit-identical at every sweep point,
 //   * compression >= 100x at 100k users on the default eshop catalog,
 //   * kernel >= 1.2x faster than legacy at the largest point (tiny mode)
 //     and >= 3x in the full sweep.
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -36,6 +39,7 @@ struct SweepRow {
   int users = 0;
   int classes = 0;
   double compression = 0.0;
+  double aggregate_s = 0.0;     // Scenario::set_requests of the population
   double kernel_s = 0.0;        // default pipeline, SoA kernel
   double legacy_s = 0.0;        // default pipeline, legacy router
   double kernel_speedup = 0.0;  // legacy_s / kernel_s
@@ -53,15 +57,18 @@ SweepRow run_point(int nodes, int num_users, int template_users) {
   auto scenario =
       core::make_scenario(bench::paper_config(nodes, template_users),
                           /*seed=*/11);
-  scenario.set_requests(workload::replicate_requests(scenario.requests(),
-                                                     num_users));
+  auto population =
+      workload::replicate_requests(scenario.requests(), num_users);
   SweepRow row;
+  util::WallTimer timer;
+  scenario.set_requests(std::move(population));
+  row.aggregate_s = timer.elapsed_seconds();
   row.users = scenario.num_users();
   row.classes = scenario.classes().num_classes();
   row.compression = scenario.classes().compression_ratio();
 
   obs::Recorder recorder;
-  util::WallTimer timer;
+  timer.reset();
   const core::Solution kernel =
       core::SoCL(head_to_head_params(true, &recorder)).solve(scenario);
   row.kernel_s = timer.elapsed_seconds();
@@ -109,8 +116,8 @@ int main(int argc, char** argv) {
       tiny ? std::vector<int>{2'000, 10'000}
            : std::vector<int>{10'000, 100'000, 1'000'000};
 
-  util::Table table({"users", "classes", "compression", "kernel_s",
-                     "legacy_s", "kernel_speedup", "objectives"});
+  util::Table table({"users", "classes", "compression", "aggregate_s",
+                     "kernel_s", "legacy_s", "kernel_speedup", "objectives"});
   bool all_identical = true;
   double last_kernel_speedup = 0.0;
   for (const int users : sweep) {
@@ -122,6 +129,7 @@ int main(int argc, char** argv) {
         .cell(std::to_string(row.users))
         .cell(std::to_string(row.classes))
         .num(row.compression, 1)
+        .num(row.aggregate_s, 3)
         .num(row.kernel_s, 3)
         .num(row.legacy_s, 3)
         .num(row.kernel_speedup, 1)

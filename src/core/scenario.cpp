@@ -79,7 +79,8 @@ bool Scenario::workload_unchanged(
   return true;
 }
 
-void Scenario::set_requests(std::vector<workload::UserRequest> requests) {
+std::vector<workload::UserRequest> Scenario::set_requests(
+    std::vector<workload::UserRequest> requests) {
   for (const auto& request : requests) {
     workload::validate(request, catalog_->num_microservices());
   }
@@ -90,12 +91,11 @@ void Scenario::set_requests(std::vector<workload::UserRequest> requests) {
   // SoA rebuild for a workload that is bit-identical to the one they cached.
   // Exact per-position comparison (id + demand tuple), not fingerprints, so
   // a colliding fingerprint can never mask a real change.
-  if (workload_unchanged(requests)) {
-    requests_ = std::move(requests);  // identical tuples; indices stay valid
-    return;
-  }
-  requests_ = std::move(requests);
-  refresh_demand_indices();
+  const bool unchanged = workload_unchanged(requests);
+  requests_.swap(requests);
+  // Identical tuples leave the indices valid.
+  if (!unchanged) refresh_demand_indices();
+  return requests;  // the replaced workload, for the caller to recycle
 }
 
 void Scenario::set_network(net::EdgeNetwork network) {

@@ -116,7 +116,11 @@ class Scenario {
   /// Replaces the requests (e.g. a new simulation slot) and reindexes.
   /// Skips the reindex and the workload-epoch bump when every request's
   /// demand tuple is unchanged (exact comparison, not fingerprints).
-  void set_requests(std::vector<workload::UserRequest> requests);
+  /// Returns the replaced workload on both paths: a caller that rebuilds
+  /// the population every slot can copy-assign the next one into it and
+  /// reuse every request's chain and edge-data capacity.
+  std::vector<workload::UserRequest> set_requests(
+      std::vector<workload::UserRequest> requests);
 
   /// Replaces the substrate network (failure injection / repair in the
   /// chaos lane). The node set must keep the same cardinality — node ids

@@ -333,7 +333,11 @@ double ServingLoop::slot_intensity(int slot) const {
 }
 
 int ServingLoop::advance_workload() {
-  auto requests = scenario_.requests();
+  // Copy-assign into the population set_requests() handed back last slot:
+  // each request's chain and edge data reuse their capacity, so ingest
+  // allocates and frees nothing per user.
+  std::vector<workload::UserRequest> requests = std::move(spare_requests_);
+  requests = scenario_.requests();
   workload::mobility_step(scenario_.network(), requests, weights_,
                           config_.mobility, mobility_rng_);
   if (config_.cross_metro_prob > 0.0 && config_.metros > 1) {
@@ -386,7 +390,7 @@ int ServingLoop::advance_workload() {
           scenario_.network(), slot_chaos.plan.failed_nodes, requests);
     }
   }
-  scenario_.set_requests(std::move(requests));
+  spare_requests_ = scenario_.set_requests(std::move(requests));
   return rehomed;
 }
 

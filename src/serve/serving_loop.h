@@ -318,6 +318,10 @@ class ServingLoop {
   std::vector<int> metro_of_;
   core::Scenario scenario_;
   std::vector<workload::UserRequest> templates_;
+  /// The workload the last set_requests() replaced: advance_workload
+  /// copy-assigns the next population into it to reuse its buffers. Holds
+  /// one extra population between slots (the peak-RSS cost of recycling).
+  std::vector<workload::UserRequest> spare_requests_;
   std::vector<double> weights_;      ///< hotspot attachment weights
   std::vector<double> day_profile_;  ///< per-slot intensity multipliers
   /// Per-metro node lists and hotspot weights (cross-metro re-homing picks

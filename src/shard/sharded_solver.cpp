@@ -478,7 +478,13 @@ ShardedSoCL::StepReport ShardedSoCL::step(
 }
 
 ShardedSolution ShardedSoCL::recombine() const {
-  ShardedSolution solution{core::Placement(*global_), std::nullopt, {}};
+  ShardedSolution solution{.placement = core::Placement(*global_),
+                           .assignment = std::nullopt,
+                           .evaluation = {},
+                           .price_trajectory = {},
+                           .spend_trajectory = {},
+                           .shard_spend = {},
+                           .shard_solve_s = {}};
   const double budget = global_->constants().budget;
 
   bool all_routable = true;

@@ -1,45 +1,84 @@
 #include "workload/request_classes.h"
 
-#include <cstring>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace socl::workload {
 namespace {
 
-// FNV-1a, the same mix the slot simulator uses for demand fingerprints.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// One multiply per 64-bit field (FNV-1a's prime, applied a word at a time),
+// then a xor-shift/multiply finaliser: a multiply only carries bits upward,
+// so without it the low bits the probe mask keeps would ignore the high
+// bits of every field.
+constexpr std::uint64_t kMixOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kMixPrime = 1099511628211ULL;
 
-std::uint64_t fnv_mix(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (byte * 8)) & 0xffULL;
-    hash *= kFnvPrime;
-  }
+std::uint64_t mix(std::uint64_t hash, std::uint64_t value) {
+  return (hash ^ value) * kMixPrime;
+}
+
+std::uint64_t finalise(std::uint64_t hash) {
+  hash ^= hash >> 33;
+  hash *= 0xff51afd7ed558ccdULL;
+  hash ^= hash >> 33;
   return hash;
 }
 
-std::uint64_t bits(double value) {
-  std::uint64_t out = 0;
-  static_assert(sizeof(out) == sizeof(value));
-  std::memcpy(&out, &value, sizeof(out));
-  return out;
-}
+/// Linear-probing table of class ids keyed by their fingerprints: a power-
+/// of-two capacity held at load <= 1/2.
+class ClassTable {
+ public:
+  /// The slot holding the class with fingerprint `fp` whose representative
+  /// equals `request` exactly, or else the empty slot (-1) it belongs in.
+  int& slot_for(std::uint64_t fp, const UserRequest& request,
+                const std::vector<RequestClass>& classes,
+                const std::vector<UserRequest>& requests) {
+    for (std::size_t i = fp & mask_;; i = (i + 1) & mask_) {
+      int& slot = slots_[i];
+      if (slot < 0) return slot;
+      const RequestClass& entry = classes[static_cast<std::size_t>(slot)];
+      if (entry.fingerprint == fp &&
+          same_request_class(
+              requests[static_cast<std::size_t>(entry.representative)],
+              request)) {
+        return slot;
+      }
+    }
+  }
+
+  /// Doubles the capacity and re-inserts every class by its stored
+  /// fingerprint once the classes fill more than half the slots.
+  void fit(const std::vector<RequestClass>& classes) {
+    if (2 * classes.size() <= slots_.size()) return;
+    slots_.assign(2 * slots_.size(), -1);
+    mask_ = slots_.size() - 1;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      std::size_t i = classes[c].fingerprint & mask_;
+      while (slots_[i] >= 0) i = (i + 1) & mask_;
+      slots_[i] = static_cast<int>(c);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;
+  std::vector<int> slots_ = std::vector<int>(kInitialSlots, -1);
+  std::size_t mask_ = kInitialSlots - 1;
+};
 
 }  // namespace
 
 std::uint64_t request_fingerprint(const UserRequest& request) {
-  std::uint64_t hash = kFnvOffset;
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(request.attach_node));
-  hash = fnv_mix(hash, static_cast<std::uint64_t>(request.chain.size()));
-  for (MsId m : request.chain) {
-    hash = fnv_mix(hash, static_cast<std::uint64_t>(m));
+  std::uint64_t hash = kMixOffset;
+  hash = mix(hash, static_cast<std::uint64_t>(request.attach_node));
+  hash = mix(hash, static_cast<std::uint64_t>(request.chain.size()));
+  for (MsId m : request.chain) hash = mix(hash, static_cast<std::uint64_t>(m));
+  for (double volume : request.edge_data) {
+    hash = mix(hash, std::bit_cast<std::uint64_t>(volume));
   }
-  for (double volume : request.edge_data) hash = fnv_mix(hash, bits(volume));
-  hash = fnv_mix(hash, bits(request.data_in));
-  hash = fnv_mix(hash, bits(request.data_out));
-  hash = fnv_mix(hash, bits(request.deadline));
-  return hash;
+  hash = mix(hash, std::bit_cast<std::uint64_t>(request.data_in));
+  hash = mix(hash, std::bit_cast<std::uint64_t>(request.data_out));
+  hash = mix(hash, std::bit_cast<std::uint64_t>(request.deadline));
+  return finalise(hash);
 }
 
 bool same_request_class(const UserRequest& a, const UserRequest& b) {
@@ -51,10 +90,9 @@ bool same_request_class(const UserRequest& a, const UserRequest& b) {
 RequestClasses::RequestClasses(const std::vector<UserRequest>& requests)
     : num_users_(static_cast<int>(requests.size())) {
   class_of_.assign(requests.size(), -1);
-  // fingerprint → class indices sharing it. Collisions stay distinct classes
-  // thanks to the exact-equality check below.
-  std::unordered_map<std::uint64_t, std::vector<int>> buckets;
-  buckets.reserve(requests.size());
+  // Colliding fingerprints stay distinct classes: the table matches on the
+  // fingerprint and then on exact field equality.
+  ClassTable table;
 
   for (const auto& request : requests) {
     if (request.id < 0 ||
@@ -65,23 +103,15 @@ RequestClasses::RequestClasses(const std::vector<UserRequest>& requests)
           "[0, num_users)");
     }
     const std::uint64_t fp = request_fingerprint(request);
-    auto& bucket = buckets[fp];
-    int cls = -1;
-    for (int candidate : bucket) {
-      const auto& rep = requests[static_cast<std::size_t>(
-          classes_[static_cast<std::size_t>(candidate)].representative)];
-      if (same_request_class(rep, request)) {
-        cls = candidate;
-        break;
-      }
-    }
+    int& slot = table.slot_for(fp, request, classes_, requests);
+    int cls = slot;
     if (cls < 0) {
-      cls = static_cast<int>(classes_.size());
+      cls = slot = static_cast<int>(classes_.size());
       RequestClass fresh;
       fresh.representative = request.id;
       fresh.fingerprint = fp;
       classes_.push_back(std::move(fresh));
-      bucket.push_back(cls);
+      table.fit(classes_);  // may rehash: `slot` is not used past here
     }
     auto& entry = classes_[static_cast<std::size_t>(cls)];
     entry.members.push_back(request.id);

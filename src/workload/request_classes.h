@@ -9,9 +9,9 @@
 // *equivalence class* and multiply by the class weight (DESIGN.md §4g).
 //
 // RequestClasses collapses a request vector into such weighted classes.
-// Grouping is by exact field equality (a 64-bit FNV-1a fingerprint is only a
+// Grouping is by exact field equality (a 64-bit fingerprint is only a
 // bucketing accelerator — colliding fingerprints never merge distinct
-// requests), so the per-class representative routes to bit-identical results
+// requests, and no output reads the value), so the per-class representative routes to bit-identical results
 // with every member. test_differential's aggregation lane checks this: every
 // member's own per-user ChainRouter route must equal the class-aggregated
 // solve's assignment, node for node.
@@ -35,15 +35,18 @@ struct RequestClass {
   /// Member request ids, ascending. The expansion API: per-user outputs
   /// (CSV rows, D_h audits, arrival traces) fan a class value back out.
   std::vector<int> members;
-  /// FNV-1a fingerprint of the demand tuple (bucketing key, not identity).
+  /// request_fingerprint of the representative (bucketing key, not identity).
   std::uint64_t fingerprint = 0;
 
   int size() const { return static_cast<int>(members.size()); }
 };
 
-/// 64-bit FNV-1a over everything Eq. (2) and Eq. (4) read from one request:
-/// attach node, chain, edge data bits, payload bits, deadline bits. The id
-/// is deliberately excluded — it is the one field aggregation erases.
+/// 64-bit hash over everything Eq. (2) and Eq. (4) read from one request:
+/// attach node, chain length and ids, edge data bits, payload bits, deadline
+/// bits, mixed one 64-bit word per field and then finalised. The id is
+/// deliberately excluded — it is the one field aggregation erases. A
+/// bucketing key only: the value may change between versions and is never
+/// written to any report.
 std::uint64_t request_fingerprint(const UserRequest& request);
 
 /// True when a and b are interchangeable to the solver stack (exact field

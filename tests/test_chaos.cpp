@@ -336,7 +336,9 @@ TEST(ServingLoopChaos, ChaoticDayCrossCheckCleanAndReplansOnSubstrateChange) {
     EXPECT_EQ(slot.validator_violations, 0);
     // A substrate swap (failure or repair) must force the replan rung —
     // carried placements may reference dead nodes.
-    if (slot.substrate_changed) EXPECT_EQ(slot.mode, SlotMode::kReplan);
+    if (slot.substrate_changed) {
+      EXPECT_EQ(slot.mode, SlotMode::kReplan);
+    }
     if (slot.failed_nodes > 0 || slot.failed_links > 0) ++degraded;
     if (slot.flash_multiplier > 1.0) {
       ++flash;

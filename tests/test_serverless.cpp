@@ -71,7 +71,9 @@ TEST(Arrivals, DeterministicSortedAndSequenced) {
     EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
     EXPECT_EQ(a[i].user, b[i].user);
     EXPECT_EQ(a[i].seq, b[i].seq);
-    if (i > 0) EXPECT_GE(a[i].time_s, a[i - 1].time_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].time_s, a[i - 1].time_s);
+    }
     EXPECT_GE(a[i].time_s, 0.0);
     EXPECT_LE(a[i].time_s, default_arrivals().horizon_s);
     EXPECT_EQ(a[i].seq, next_seq[static_cast<std::size_t>(a[i].user)]++);

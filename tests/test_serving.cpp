@@ -189,6 +189,72 @@ TEST(ServingLoop, EverySlotMatchesPerUserRouterAndEvaluator) {
   }
 }
 
+/// Field-for-field equality of two workloads (ids included).
+void expect_same_requests(const std::vector<workload::UserRequest>& a,
+                          const std::vector<workload::UserRequest>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t h = 0; h < a.size(); ++h) {
+    SCOPED_TRACE("request " + std::to_string(h));
+    EXPECT_EQ(a[h].id, b[h].id);
+    EXPECT_EQ(a[h].attach_node, b[h].attach_node);
+    EXPECT_EQ(a[h].chain, b[h].chain);
+    EXPECT_EQ(a[h].edge_data, b[h].edge_data);
+    EXPECT_EQ(a[h].data_in, b[h].data_in);
+    EXPECT_EQ(a[h].data_out, b[h].data_out);
+    EXPECT_EQ(a[h].deadline, b[h].deadline);
+  }
+}
+
+TEST(ServingLoop, RecycledRequestBuffersKeepNoStaleFields) {
+  // advance_workload copy-assigns each slot's population into the buffer
+  // the previous slot replaced. The hook drifts users between chains of
+  // different lengths (both ways) and moves attach nodes. With mobility and
+  // drift off, its input must be exactly the population the scenario held
+  // after the previous slot, and the scenario must then hold exactly what
+  // it produced.
+  ServingConfig config = small_config(17);
+  config.slots = 9;
+  config.mobility.move_prob = 0.0;
+  config.drift_prob = 0.0;
+  std::vector<workload::UserRequest> produced;
+  int hooked = 0;
+  int grown = 0;
+  int shrunk = 0;
+  config.workload_hook = [&](int slot,
+                             std::vector<workload::UserRequest>& requests) {
+    expect_same_requests(requests, produced);
+    const std::size_t n = requests.size();
+    const auto before = requests;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto s = static_cast<std::size_t>(slot);
+      if ((i + s) % 3 == 0) {
+        const auto& donor = before[(i * 7 + s) % n];
+        requests[i].chain = donor.chain;
+        requests[i].edge_data = donor.edge_data;
+        requests[i].deadline = donor.deadline;
+      }
+      if ((i + s) % 5 == 0) {
+        requests[i].attach_node =
+            (requests[i].attach_node + slot) % config.scenario.num_nodes;
+      }
+      grown += requests[i].chain.size() > before[i].chain.size() ? 1 : 0;
+      shrunk += requests[i].chain.size() < before[i].chain.size() ? 1 : 0;
+    }
+    produced = requests;
+    ++hooked;
+  };
+  ServingLoop loop(config);
+  produced = loop.scenario().requests();
+  for (int slot = 1; slot <= config.slots; ++slot) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    loop.step();
+    expect_same_requests(loop.scenario().requests(), produced);
+  }
+  EXPECT_EQ(hooked, config.slots - 1);  // the hook runs from slot 2
+  EXPECT_GT(grown, 0);
+  EXPECT_GT(shrunk, 0);
+}
+
 TEST(ServingLoop, StaticWorkloadCarriesEverySlot) {
   ServingConfig config = small_config(7);
   config.slots = 6;
