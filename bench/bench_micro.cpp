@@ -17,6 +17,7 @@
 #include "serve/serving_loop.h"
 #include "shard/sharded_solver.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/request_classes.h"
 #include "workload/request_gen.h"
 
@@ -270,23 +271,36 @@ serverless::ArrivalConfig serving_day_arrivals() {
   return config;
 }
 
+// workers:1 draws serially (no pool); workers:2 draws the same stream in
+// blocks on a 2-worker pool, as a ServingLoop with perfbench's 2 runtime
+// threads does.
 void BM_GenerateArrivals(benchmark::State& state) {
   const int users = 100'000;
   const serverless::ArrivalConfig config = serving_day_arrivals();
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<util::ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
   std::size_t arrivals = 0;
   for (auto _ : state) {
-    const auto stream = serverless::generate_arrivals(users, config);
+    const auto stream =
+        serverless::generate_arrivals(users, config, pool.get());
     arrivals = stream.size();
     benchmark::DoNotOptimize(stream.data());
   }
   state.counters["arrivals"] = static_cast<double>(arrivals);
 }
-BENCHMARK(BM_GenerateArrivals)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateArrivals)
+    ->ArgName("workers")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // One serving_day-sized DES window: the perfbench serving_day geometry (16
 // nodes, 200 templates replicated to 100k users) after its first replan,
 // serving BM_GenerateArrivals' stream under the Alg. 2 pre-warm policy with
-// the replan's placement carried, on perfbench's 2 DES threads.
+// the replan's placement carried, its route tables on a lent 2-worker pool
+// (perfbench's 2 runtime threads), as the serving loop lends its own.
 void BM_DesWindow(benchmark::State& state) {
   static const auto loop = [] {
     serve::ServingConfig config;
@@ -306,7 +320,10 @@ void BM_DesWindow(benchmark::State& state) {
   const auto arrivals = serverless::generate_arrivals(
       scenario.num_users(), serving_day_arrivals());
   const serverless::SoCLPrewarmPolicy policy(scenario);
-  const serverless::ServerlessRuntime runtime(scenario, loop->config().runtime);
+  util::ThreadPool pool(
+      static_cast<std::size_t>(loop->config().runtime.threads));
+  const serverless::ServerlessRuntime runtime(scenario, loop->config().runtime,
+                                              &pool);
   std::int64_t invocations = 0;
   for (auto _ : state) {
     const auto metrics = runtime.run(loop->placement(), loop->assignment(),

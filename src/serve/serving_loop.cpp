@@ -644,7 +644,12 @@ void ServingLoop::serve_windows(SlotReport& report, const SlotPlan& plan,
       (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
   serverless::ServerlessConfig runtime_config = config_.runtime;
   if (runtime_config.sink == nullptr) runtime_config.sink = config_.sink;
-  const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
+  if (runtime_config.threads != 1 && data_pool_ == nullptr) {
+    data_pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(
+        std::max(0, runtime_config.threads)));
+  }
+  const serverless::ServerlessRuntime runtime(scenario_, runtime_config,
+                                              data_pool_.get());
   const core::Placement carried = warm_pools(report, plan);
 
   // One DES window per arrival group. Sharded, each metro's control plane
@@ -662,7 +667,8 @@ void ServingLoop::serve_windows(SlotReport& report, const SlotPlan& plan,
         static_cast<std::size_t>(scenario_.request(h).attach_node)];
   }
   const auto windows = serverless::split_arrivals(
-      serverless::generate_arrivals(scenario_.num_users(), arrival_config),
+      serverless::generate_arrivals(scenario_.num_users(), arrival_config,
+                                    data_pool_.get()),
       group_of, groups);
   obs::ObsSink* const metro_sink = sharded_ != nullptr ? config_.sink : nullptr;
   const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;

@@ -42,6 +42,7 @@
 #include "serverless/runtime.h"
 #include "shard/sharded_solver.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/mobility.h"
 #include "workload/request_classes.h"
 
@@ -109,6 +110,9 @@ struct ServingConfig {
   double replan_weight_threshold = 0.05;
   /// Force a replan every N slots (0 = only on drift / coverage loss).
   int full_replan_period = 8;
+  /// The DES windows' runtime. `runtime.threads` sizes the loop's one
+  /// data-plane pool, which draws each slot's arrival stream and fans out
+  /// the DES route tables (1 = serial, no pool).
   serverless::ServerlessConfig runtime;
   /// Arrival process template: `mean_rate` is the per-user base rate, scaled
   /// per slot by the diurnal + bursty day profile; `horizon_s` is overridden
@@ -373,6 +377,10 @@ class ServingLoop {
   /// Alg. 2 quota snapshot from the previous slot (ms × nodes), the
   /// pre-warm lookahead's prediction of where demand concentrates next.
   std::vector<std::uint8_t> prewarm_snapshot_;
+  /// The data plane's workers (arrival streams, DES route tables), sized by
+  /// config.runtime.threads; built by the first serve_windows, never when
+  /// threads == 1.
+  std::unique_ptr<util::ThreadPool> data_pool_;
 
   ServingReport report_;
 };

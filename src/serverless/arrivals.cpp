@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/trace.h"
 
 namespace socl::serverless {
@@ -14,6 +15,34 @@ namespace {
 /// the user count (the Rng constructor finishes the mixing).
 std::uint64_t mix_stream(std::uint64_t seed, std::uint64_t stream) {
   return seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
+}
+
+/// Appends users [begin, end)'s arrivals to `out`, user-major and each
+/// user's in time order. `expected` / `threshold` are the per-bin means and
+/// Knuth thresholds (threshold 0: draw through Rng::poisson).
+void draw_users(int begin, int end, const ArrivalConfig& config,
+                double bin_len, const std::vector<double>& expected,
+                const std::vector<double>& threshold,
+                std::vector<Arrival>& out) {
+  std::vector<double> times;
+  for (int u = begin; u < end; ++u) {
+    util::Rng rng(mix_stream(config.seed, static_cast<std::uint64_t>(u)));
+    times.clear();
+    for (int b = 0; b < config.bins; ++b) {
+      const auto bin = static_cast<std::size_t>(b);
+      const auto count = threshold[bin] > 0.0
+                             ? rng.poisson_knuth(threshold[bin])
+                             : rng.poisson(expected[bin]);
+      const double lo = static_cast<double>(b) * bin_len;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        times.push_back(lo + rng.uniform(0.0, bin_len));
+      }
+    }
+    std::sort(times.begin(), times.end());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      out.push_back({times[i], u, static_cast<int>(i)});
+    }
+  }
 }
 
 }  // namespace
@@ -45,7 +74,8 @@ std::vector<double> arrival_profile(const ArrivalConfig& config) {
 }
 
 std::vector<Arrival> generate_arrivals(int num_users,
-                                       const ArrivalConfig& config) {
+                                       const ArrivalConfig& config,
+                                       util::ThreadPool* pool) {
   if (num_users < 0) {
     throw std::invalid_argument("generate_arrivals: negative user count");
   }
@@ -67,23 +97,24 @@ std::vector<Arrival> generate_arrivals(int num_users,
   }
 
   std::vector<Arrival> all;
-  std::vector<double> times;
-  for (int u = 0; u < num_users; ++u) {
-    util::Rng rng(mix_stream(config.seed, static_cast<std::uint64_t>(u)));
-    times.clear();
-    for (int b = 0; b < config.bins; ++b) {
-      const auto bin = static_cast<std::size_t>(b);
-      const auto count = threshold[bin] > 0.0
-                             ? rng.poisson_knuth(threshold[bin])
-                             : rng.poisson(expected[bin]);
-      const double lo = static_cast<double>(b) * bin_len;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        times.push_back(lo + rng.uniform(0.0, bin_len));
-      }
-    }
-    std::sort(times.begin(), times.end());
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      all.push_back({times[i], u, static_cast<int>(i)});
+  constexpr int kBlock = kArrivalBlockUsers;
+  const int blocks = num_users / kBlock + (num_users % kBlock != 0 ? 1 : 0);
+  if (pool == nullptr || blocks <= 1) {
+    draw_users(0, num_users, config, bin_len, expected, threshold, all);
+  } else {
+    // Each block draws into its own vector; joined in user order they are
+    // the serial draw's pre-sort stream.
+    std::vector<std::vector<Arrival>> parts(static_cast<std::size_t>(blocks));
+    pool->parallel_for(parts.size(), [&](std::size_t block) {
+      const int begin = static_cast<int>(block) * kBlock;
+      draw_users(begin, begin + std::min(kBlock, num_users - begin), config,
+                 bin_len, expected, threshold, parts[block]);
+    });
+    std::size_t total = 0;
+    for (const auto& part : parts) total += part.size();
+    all.reserve(total);
+    for (const auto& part : parts) {
+      all.insert(all.end(), part.begin(), part.end());
     }
   }
   std::sort(all.begin(), all.end(), [](const Arrival& a, const Arrival& b) {

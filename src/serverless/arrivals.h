@@ -18,6 +18,10 @@
 #include <span>
 #include <vector>
 
+namespace socl::util {
+class ThreadPool;
+}
+
 namespace socl::serverless {
 
 /// One request issuance: user `user`'s `seq`-th request of the window.
@@ -41,14 +45,25 @@ struct ArrivalConfig {
   std::uint64_t seed = 1;
 };
 
+/// Users per block of a pooled generate_arrivals: a block's ~160k Knuth
+/// draws (40 bins) dwarf its dispatch, and a 100k-user population still
+/// spreads over a few dozen blocks. A constant, not a knob: the stream does
+/// not depend on it.
+inline constexpr int kArrivalBlockUsers = 4096;
+
 /// Arrival intensity per bin, normalised to mean 1 over the window, derived
 /// from workload::request_volume_series and shaped by `burstiness`.
 std::vector<double> arrival_profile(const ArrivalConfig& config);
 
 /// Deterministic merged arrival stream over `num_users` users, sorted by
-/// (time, user, seq).
+/// (time, user, seq). With a `pool`, users are drawn in fixed-size blocks
+/// on its workers (a single block runs on the caller); the per-user streams
+/// are independent and the sort key is a total order, so the stream is
+/// bit-identical with or without a pool, for any pool size. The pool must
+/// not be the one the caller runs on.
 std::vector<Arrival> generate_arrivals(int num_users,
-                                       const ArrivalConfig& config);
+                                       const ArrivalConfig& config,
+                                       util::ThreadPool* pool = nullptr);
 
 /// Partitions a merged stream into `groups` per-group streams by
 /// `group_of[arrival.user]`, preserving the (time, user, seq) order inside

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -126,8 +127,9 @@ double RuntimeMetrics::mean_cold_s() const {
 }
 
 ServerlessRuntime::ServerlessRuntime(const core::Scenario& scenario,
-                                     ServerlessConfig config)
-    : scenario_(&scenario), config_(config) {
+                                     ServerlessConfig config,
+                                     util::ThreadPool* pool)
+    : scenario_(&scenario), config_(config), pool_(pool) {
   if (config_.concurrency < 1 || config_.max_containers_per_pool < 1) {
     throw std::invalid_argument(
         "ServerlessRuntime: concurrency and pool capacity must be >= 1");
@@ -191,11 +193,19 @@ RuntimeMetrics ServerlessRuntime::run(
   // ---- The window's distinct arriving users, and one job per arrival ----
   std::vector<int> route_users;
   route_users.reserve(arrivals.size());
+  double previous_time = -std::numeric_limits<double>::infinity();
   for (const auto& arrival : arrivals) {
     if (arrival.user < 0 ||
         static_cast<std::size_t>(arrival.user) >= requests.size()) {
       throw std::invalid_argument("ServerlessRuntime: arrival user id");
     }
+    // The event loop merges the stream instead of heaping it, and the last
+    // arrival bounds the policy ticks: both need it sorted (NaN never is).
+    if (!(arrival.time_s >= previous_time)) {
+      throw std::invalid_argument(
+          "ServerlessRuntime: arrivals not sorted by time");
+    }
+    previous_time = arrival.time_s;
     route_users.push_back(arrival.user);
   }
   std::sort(route_users.begin(), route_users.end());
@@ -239,10 +249,8 @@ RuntimeMetrics ServerlessRuntime::run(
         request.data_out, prev,
         assignment.node_for(request.id, 0));
   };
-  if (config_.threads != 1 && routes.size() > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(
-        config_.threads > 0 ? config_.threads : 0));
-    pool.parallel_for(routes.size(), build_route);
+  if (pool_ != nullptr && routes.size() > 1) {
+    pool_->parallel_for(routes.size(), build_route);
   } else {
     for (std::size_t r = 0; r < routes.size(); ++r) build_route(r);
   }
@@ -441,9 +449,12 @@ RuntimeMetrics ServerlessRuntime::run(
   }
 
   // ---- Seed events: arrivals and policy ticks ----
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    push(arrivals[i].time_s, EventKind::kArrival, static_cast<int>(i));
-  }
+  // Arrivals stay out of the heap, so it holds only in-flight events, not
+  // the window's whole stream: the event loop merges the sorted stream with
+  // it. Arrival i keeps the push order it would have had heaped
+  // (first_arrival + i), so every time tie breaks as if it were heaped.
+  const std::uint64_t first_arrival = order;
+  order += arrivals.size();
   if (config_.policy_tick_s > 0.0) {
     for (double t = config_.policy_tick_s; t <= horizon;
          t += config_.policy_tick_s) {
@@ -452,10 +463,26 @@ RuntimeMetrics ServerlessRuntime::run(
   }
 
   // ---- Event loop ----
+  std::size_t next_arrival = 0;
+  const auto arrival_next = [&] {
+    if (next_arrival == arrivals.size()) return false;
+    if (eq.empty()) return true;
+    const double t = arrivals[next_arrival].time_s;
+    const Event& top = eq.top();
+    return t < top.time ||
+           (t == top.time && first_arrival + next_arrival < top.order);
+  };
   double t_prev = 0.0;
-  while (!eq.empty()) {
-    const Event event = eq.top();
-    eq.pop();
+  while (next_arrival < arrivals.size() || !eq.empty()) {
+    Event event;
+    if (arrival_next()) {
+      event = Event{arrivals[next_arrival].time_s, first_arrival + next_arrival,
+                    EventKind::kArrival, static_cast<int>(next_arrival)};
+      ++next_arrival;
+    } else {
+      event = eq.top();
+      eq.pop();
+    }
     const double now = event.time;
     integrate(t_prev, now);
     t_prev = now;

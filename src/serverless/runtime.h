@@ -15,7 +15,9 @@
 // serverless overhead, decomposed per request into
 // {queue, cold-start, transfer, processing}.
 //
-// Determinism contract: events are ordered by (time, insertion sequence);
+// Determinism contract: events are ordered by (time, insertion sequence),
+// where arrival i of the (time-sorted) stream holds the i-th sequence number
+// after the window-opening pool events;
 // every stochastic draw (cold-start durations, keep-alive, processing
 // jitter) comes from a counter-keyed RNG stream, pure in (seed, entity ids).
 // The same seed therefore reproduces the identical event log across runs and
@@ -33,6 +35,10 @@
 
 namespace socl::obs {
 class ObsSink;
+}
+
+namespace socl::util {
+class ThreadPool;
 }
 
 namespace socl::serverless {
@@ -57,11 +63,11 @@ struct ServerlessConfig {
   /// Resolution of the emitted cold-start-rate / pool-utilisation series
   /// (0 disables the series).
   int series_bins = 0;
-  /// Worker threads for the pure route-table precompute, which covers only
-  /// the users with an arrival in the window (1 = serial, 0 = hardware
-  /// concurrency; a window with fewer than two arriving users runs serially).
-  /// Each run() that fans out builds its own pool for the call. Results are
-  /// bit-identical for any value.
+  /// Workers of a serving loop's data-plane pool (1 = serial, no pool;
+  /// 0 = hardware concurrency), which draws each slot's arrival stream and
+  /// fans out the route-table precompute of the runtime it is lent to.
+  /// ServerlessRuntime itself does not read this: it fans out exactly when
+  /// constructed with a pool. Results are bit-identical for any value.
   int threads = 1;
   /// Observability sink: each run() emits a `serverless.run` span, the
   /// `socl.serverless.*` lifecycle counters, and per-request latency
@@ -129,10 +135,19 @@ struct RuntimeMetrics {
 
 class ServerlessRuntime {
  public:
-  ServerlessRuntime(const core::Scenario& scenario, ServerlessConfig config);
+  /// `pool`, when non-null, is borrowed (it must outlive the runtime and
+  /// must not be the pool run() is called from): run() fans the pure
+  /// route-table precompute, which covers only the window's arriving users,
+  /// out on it (a window with fewer than two arriving users runs serially).
+  /// Without a pool run() is serial.
+  ServerlessRuntime(const core::Scenario& scenario, ServerlessConfig config,
+                    util::ThreadPool* pool = nullptr);
 
   /// Simulates `arrivals` dispatched through `assignment` on the pools of
-  /// `placement` under `policy`.
+  /// `placement` under `policy`. `arrivals` must be sorted by non-decreasing
+  /// `time_s` (generate_arrivals and split_arrivals streams are): the event
+  /// loop merges the stream with its event heap, and the last arrival ends
+  /// the policy-tick horizon.
   ///
   /// `carried` marks instances surviving from the previous slot (slot
   /// simulator / online controller integration): carried instances open the
@@ -141,8 +156,9 @@ class ServerlessRuntime {
   /// nullptr for a steady-state window (every pool opens warm per policy).
   ///
   /// Throws std::invalid_argument when any user's assignment — arriving in
-  /// this window or not — uses an instance `placement` does not deploy, or
-  /// when an arrival names a user the scenario does not have.
+  /// this window or not — uses an instance `placement` does not deploy,
+  /// when an arrival names a user the scenario does not have, or when the
+  /// stream is not sorted by time (a NaN time never is).
   ///
   /// `event_log`, when non-null, receives every processed event in order.
   RuntimeMetrics run(const core::Placement& placement,
@@ -157,6 +173,7 @@ class ServerlessRuntime {
  private:
   const core::Scenario* scenario_;
   ServerlessConfig config_;
+  util::ThreadPool* pool_;  ///< borrowed; null = serial route tables
 };
 
 }  // namespace socl::serverless

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -25,18 +24,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
   const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -48,13 +35,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     draw = (*this)();
   } while (draw >= limit);
   return lo + static_cast<std::int64_t>(draw % range);
-}
-
-double Rng::uniform(double lo, double hi) {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  const double unit =
-      static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  return lo + unit * (hi - lo);
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -91,18 +71,6 @@ std::uint64_t Rng::poisson(double mean) {
   const double draw = normal(mean, std::sqrt(mean));
   return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
 }
-
-std::uint64_t Rng::poisson_knuth(double threshold) {
-  std::uint64_t count = 0;
-  double product = uniform();
-  while (product > threshold) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
-}
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::index(std::size_t n) {
   if (n == 0) throw std::invalid_argument("Rng::index: n == 0");

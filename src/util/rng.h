@@ -7,6 +7,7 @@
 // not guaranteed to be identical across standard-library implementations.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -33,13 +34,27 @@ class Rng {
   }
 
   /// Next raw 64-bit word.
-  result_type operator()();
+  result_type operator()() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform real in [lo, hi).
-  double uniform(double lo = 0.0, double hi = 1.0);
+  double uniform(double lo = 0.0, double hi = 1.0) {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    const double unit = static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    return lo + unit * (hi - lo);
+  }
 
   /// Standard normal via Box-Muller (cached second variate).
   double normal(double mean = 0.0, double stddev = 1.0);
@@ -53,10 +68,18 @@ class Rng {
   /// Knuth's Poisson draw against a precomputed `threshold` = exp(-mean):
   /// for 0 < mean < 30, poisson(mean) makes exactly this draw. Lets callers
   /// that draw many counts with one mean evaluate the exp once.
-  std::uint64_t poisson_knuth(double threshold);
+  std::uint64_t poisson_knuth(double threshold) {
+    std::uint64_t count = 0;
+    double product = uniform();
+    while (product > threshold) {
+      ++count;
+      product *= uniform();
+    }
+    return count;
+  }
 
   /// Bernoulli trial with probability p of returning true.
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Uniformly chosen index in [0, n). Requires n > 0.
   std::size_t index(std::size_t n);

@@ -1,6 +1,7 @@
 // Tests for the serverless container-runtime simulator: arrival streams
-// (against a per-draw Poisson reference), event-ordering determinism, the
-// all-user assignment check, cold-start accounting conservation, keep-alive
+// (against a per-draw Poisson reference, serial and block-parallel),
+// event-ordering determinism and tie order, the sorted-stream and all-user
+// assignment checks, cold-start accounting conservation, keep-alive
 // capacity reclamation, evaluator reproduction in the zero-overhead
 // configuration, and the scaling policies.
 #include <gtest/gtest.h>
@@ -9,6 +10,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/partition.h"
 #include "core/preprovision.h"
@@ -18,6 +23,7 @@
 #include "serverless/policy.h"
 #include "serverless/runtime.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace socl::serverless {
 namespace {
@@ -133,13 +139,8 @@ std::vector<Arrival> reference_arrivals(int num_users,
   return all;
 }
 
-void expect_reference_arrivals(int num_users, const ArrivalConfig& config) {
-  SCOPED_TRACE("users " + std::to_string(num_users) + " bins " +
-               std::to_string(config.bins) + " burstiness " +
-               std::to_string(config.burstiness) + " rate " +
-               std::to_string(config.mean_rate));
-  const auto got = generate_arrivals(num_users, config);
-  const auto want = reference_arrivals(num_users, config);
+void expect_bit_equal(const std::vector<Arrival>& got,
+                      const std::vector<Arrival>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].time_s),
@@ -148,6 +149,19 @@ void expect_reference_arrivals(int num_users, const ArrivalConfig& config) {
     ASSERT_EQ(got[i].user, want[i].user) << "arrival " << i;
     ASSERT_EQ(got[i].seq, want[i].seq) << "arrival " << i;
   }
+}
+
+std::string describe(int num_users, const ArrivalConfig& config) {
+  return "users " + std::to_string(num_users) + " bins " +
+         std::to_string(config.bins) + " burstiness " +
+         std::to_string(config.burstiness) + " rate " +
+         std::to_string(config.mean_rate);
+}
+
+void expect_reference_arrivals(int num_users, const ArrivalConfig& config) {
+  SCOPED_TRACE(describe(num_users, config));
+  expect_bit_equal(generate_arrivals(num_users, config),
+                   reference_arrivals(num_users, config));
 }
 
 TEST(Arrivals, MatchesPerDrawPoissonReference) {
@@ -179,6 +193,43 @@ TEST(Arrivals, MatchesPerDrawPoissonReference) {
   EXPECT_THROW(generate_arrivals(1, negative), std::invalid_argument);
 }
 
+TEST(Arrivals, PooledDrawMatchesReferenceAtBlockEdges) {
+  // Block-parallel draws join per-block streams in user order before the
+  // final sort, so the stream must not depend on the pool or on where the
+  // block edges fall.
+  constexpr int kBlock = kArrivalBlockUsers;
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const int workers : {1, 2, 3}) {
+    pools.push_back(
+        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(workers)));
+  }
+  ArrivalConfig serving_day;  // per-bin means around 2e-3: Knuth only
+  serving_day.horizon_s = 30.0;
+  serving_day.bins = 40;
+  serving_day.mean_rate = 3e-3;
+  serving_day.seed = 9;
+  ArrivalConfig mixed = serving_day;  // means straddle the normal cut of 30
+  mixed.bins = 2;
+  mixed.horizon_s = 15.0 * mixed.bins;
+  mixed.mean_rate = 2.0;
+  mixed.burstiness = 3.0;
+  const auto mixed_profile = arrival_profile(mixed);  // bin means: 30·profile
+  ASSERT_LT(*std::min_element(mixed_profile.begin(), mixed_profile.end()), 1.0);
+  ASSERT_GT(*std::max_element(mixed_profile.begin(), mixed_profile.end()), 1.0);
+  for (const ArrivalConfig& config : {serving_day, mixed}) {
+    for (const int users :
+         {0, 1, kBlock - 1, kBlock, kBlock + 1, 3 * kBlock + 5}) {
+      SCOPED_TRACE(describe(users, config));
+      const auto want = reference_arrivals(users, config);
+      expect_bit_equal(generate_arrivals(users, config), want);
+      for (const auto& pool : pools) {
+        SCOPED_TRACE("workers " + std::to_string(pool->size()));
+        expect_bit_equal(generate_arrivals(users, config, pool.get()), want);
+      }
+    }
+  }
+}
+
 TEST(Arrivals, BurstinessWidensProfileSpread) {
   ArrivalConfig flat = default_arrivals();
   flat.burstiness = 0.0;
@@ -205,15 +256,22 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
 
   std::vector<std::vector<EventRecord>> logs;
   std::vector<RuntimeMetrics> runs;
-  for (const int threads : {1, 1, 4, 0}) {
-    ServerlessConfig c = config;
-    c.threads = threads;
-    const ServerlessRuntime runtime(fx.scenario, c);
+  const auto run = [&](util::ThreadPool* pool) {
+    const ServerlessRuntime runtime(fx.scenario, config, pool);
     std::vector<EventRecord> log;
     runs.push_back(runtime.run(fx.placement, fx.assignment, arrivals,
                                ReactivePolicy(), 77, nullptr, &log));
     logs.push_back(std::move(log));
-  }
+  };
+  run(nullptr);
+  run(nullptr);
+  // Borrowed pools, as a serving loop lends its long-lived one: each is
+  // reused across runs, and 0 means hardware concurrency.
+  util::ThreadPool four(4);
+  util::ThreadPool hardware(0);
+  run(&four);
+  run(&hardware);
+  run(&four);
   for (std::size_t i = 1; i < logs.size(); ++i) {
     EXPECT_EQ(logs[0], logs[i]) << "run " << i;
     ASSERT_EQ(runs[0].requests.size(), runs[i].requests.size());
@@ -224,6 +282,59 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
                        runs[i].requests[r].cold_s);
     }
   }
+}
+
+TEST(Runtime, ArrivalTiesBreakInHeapPushOrder) {
+  // The loop merges the arrival stream with its event heap; an arrival keeps
+  // the push order it had when arrivals were heaped: after the pool events
+  // of window open, before every later event. With a 1 s keep-alive, the
+  // warm containers' expiries, the arrival and the first policy tick all
+  // fall at t = 1 s.
+  const Fixture fx(30);
+  ServerlessConfig config;
+  config.keep_alive_s = 1.0;
+  config.keep_alive_sigma = 0.0;
+  config.policy_tick_s = 1.0;
+  const ServerlessRuntime runtime(fx.scenario, config);
+  const std::vector<Arrival> arrivals = {{1.0, 0, 0}};
+  std::vector<EventRecord> log;
+  runtime.run(fx.placement, fx.assignment, arrivals, FixedPoolPolicy(1), 5,
+              nullptr, &log);
+
+  const auto position = [&](int kind) {
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log[i].kind == kind && log[i].time_s == 1.0) at.push_back(i);
+    }
+    return at;
+  };
+  const auto expiries = position(4);  // kContainerExpire
+  const auto arrival = position(0);   // kArrival
+  const auto ticks = position(5);     // kPolicyTick
+  ASSERT_FALSE(expiries.empty());
+  ASSERT_EQ(arrival.size(), 1u);
+  ASSERT_EQ(ticks.size(), 1u);
+  EXPECT_LT(expiries.back(), arrival[0]);
+  EXPECT_LT(arrival[0], ticks[0]);
+}
+
+TEST(Runtime, RejectsUnsortedArrivals) {
+  // An unsorted stream would be merged out of order and would lose the
+  // policy ticks after its last element.
+  const Fixture fx(31);
+  const ServerlessRuntime runtime(fx.scenario, ServerlessConfig{});
+  const std::vector<Arrival> ties = {{1.0, 1, 0}, {1.0, 0, 0}};
+  EXPECT_NO_THROW(
+      runtime.run(fx.placement, fx.assignment, ties, ReactivePolicy(), 5));
+  const std::vector<Arrival> unsorted = {{2.0, 0, 0}, {1.0, 1, 0}};
+  EXPECT_THROW(
+      runtime.run(fx.placement, fx.assignment, unsorted, ReactivePolicy(), 5),
+      std::invalid_argument);
+  const std::vector<Arrival> nan = {
+      {std::numeric_limits<double>::quiet_NaN(), 0, 0}};
+  EXPECT_THROW(
+      runtime.run(fx.placement, fx.assignment, nan, ReactivePolicy(), 5),
+      std::invalid_argument);
 }
 
 TEST(Runtime, RejectsUndeployedAssignmentOfUserWithoutArrivals) {

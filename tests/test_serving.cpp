@@ -86,15 +86,24 @@ TEST(ServingLoop, DayCompletesWithServingActivity) {
 }
 
 TEST(ServingLoop, DeterministicAcrossRunsAndThreadCounts) {
-  ServingConfig config = small_config(23);
-  const ServingReport first = ServingLoop(config).run();
-  const ServingReport second = ServingLoop(config).run();
-  expect_slots_equal(first.slots, second.slots);
+  // The second day's population spans three arrival blocks, so with
+  // runtime.threads != 1 the loop's own pool draws them in parallel (and
+  // fans out the DES route tables); every slot must match the serial day.
+  ServingConfig multi_block = small_config(37);
+  multi_block.population = 2 * serverless::kArrivalBlockUsers + 7;
+  multi_block.slots = 4;
+  multi_block.arrivals.mean_rate = 0.2;  // a request or two per user and slot
+  for (const ServingConfig& config : {small_config(23), multi_block}) {
+    const ServingReport first = ServingLoop(config).run();
+    const ServingReport second = ServingLoop(config).run();
+    expect_slots_equal(first.slots, second.slots);
+    EXPECT_GT(first.invocations, 0);
 
-  ServingConfig threaded = small_config(23);
-  threaded.runtime.threads = 3;
-  const ServingReport third = ServingLoop(threaded).run();
-  expect_slots_equal(first.slots, third.slots);
+    ServingConfig threaded = config;
+    threaded.runtime.threads = 3;
+    const ServingReport third = ServingLoop(threaded).run();
+    expect_slots_equal(first.slots, third.slots);
+  }
 }
 
 TEST(ServingLoop, CrossCheckLaneIsCleanEverySlot) {
