@@ -66,25 +66,31 @@ NodeId Combiner::best_connection(int user, MsId m,
 
 NodeId Combiner::connection_at(NodeId attach, MsId m,
                                const Placement& placement) const {
+  // One buffer per thread: latency_losses calls this from the engine's pool
+  // workers, and a per-call vector would allocate on every ζ connection.
+  thread_local std::vector<NodeId> hosts;
+  placement.nodes_of_into(m, hosts);
+  return connection_among(attach, m, hosts);
+}
+
+NodeId Combiner::connection_among(NodeId attach, MsId m,
+                                  std::span<const NodeId> hosts) const {
   const auto& vlinks = scenario_->vlinks();
-  const int user_group =
-      group_index_[static_cast<std::size_t>(m)][static_cast<std::size_t>(
-          attach)];
+  const auto& group_of = group_index_[static_cast<std::size_t>(m)];
+  const int user_group = group_of[static_cast<std::size_t>(attach)];
 
   NodeId best_in_group = net::kInvalidNode;
   double best_group_rate = -1.0;
   NodeId best_global = net::kInvalidNode;
   double best_global_rate = -1.0;
-  for (NodeId k = 0; k < scenario_->num_nodes(); ++k) {
-    if (!placement.deployed(m, k)) continue;
+  for (const NodeId k : hosts) {
     const double rate = vlinks.rate(attach, k);
     if (rate > best_global_rate) {
       best_global_rate = rate;
       best_global = k;
     }
     if (user_group >= 0 &&
-        group_index_[static_cast<std::size_t>(m)]
-                    [static_cast<std::size_t>(k)] == user_group &&
+        group_of[static_cast<std::size_t>(k)] == user_group &&
         rate > best_group_rate) {
       best_group_rate = rate;
       best_in_group = k;
@@ -93,105 +99,189 @@ NodeId Combiner::connection_at(NodeId attach, MsId m,
   return best_in_group != net::kInvalidNode ? best_in_group : best_global;
 }
 
+void Combiner::fill_connections(const Placement& placement,
+                                std::vector<NodeId>& connection,
+                                std::vector<NodeId>& hosts) const {
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  connection.resize(static_cast<std::size_t>(scenario_->num_microservices()) *
+                    nodes);
+  for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
+    placement.nodes_of_into(m, hosts);
+    NodeId* row = connection.data() + static_cast<std::size_t>(m) * nodes;
+    for (std::size_t a = 0; a < nodes; ++a) {
+      row[a] = connection_among(static_cast<NodeId>(a), m, hosts);
+    }
+  }
+}
+
+Combiner::ChainView Combiner::request_chain(
+    const workload::UserRequest& request) {
+  return {request.chain.data(), request.chain.size(),
+          request.edge_data.data(), request.attach_node,
+          request.data_in,      request.data_out};
+}
+
+Combiner::ChainView Combiner::class_chain(const workload::ClassDemandSoA& soa,
+                                          int c) {
+  const auto i = static_cast<std::size_t>(c);
+  const auto begin = static_cast<std::size_t>(soa.chain_offset[i]);
+  return {soa.chain.data() + begin,
+          static_cast<std::size_t>(soa.chain_offset[i + 1]) - begin,
+          soa.edge_data.data() + soa.edge_offset[i],
+          soa.attach[i],
+          soa.data_in[i],
+          soa.data_out[i]};
+}
+
+const ScoreKernel& Combiner::class_view() const {
+  engine_.sync_workload();
+  if (const ScoreKernel* kernel = engine_.kernel()) return *kernel;
+  // Legacy scoring builds no kernel; one with no delay-table budget holds
+  // just the class view and the compute matrix.
+  if (!legacy_view_) {
+    legacy_view_ = std::make_unique<ScoreKernel>(*scenario_, 0);
+  } else {
+    legacy_view_->sync();
+  }
+  return *legacy_view_;
+}
+
 template <typename Connect>
-double Combiner::estimate_chain(const workload::UserRequest& request,
+double Combiner::estimate_chain(const ChainView& chain, const double* compute,
                                 const Connect& connect) const {
   const auto& vlinks = scenario_->vlinks();
-  const auto& network = scenario_->network();
-  const auto& catalog = scenario_->catalog();
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
 
   NodeId prev = net::kInvalidNode;
   NodeId first = net::kInvalidNode;
   double total = 0.0;
-  for (std::size_t pos = 0; pos < request.chain.size(); ++pos) {
-    const MsId m = request.chain[pos];
+  for (std::size_t pos = 0; pos < chain.length; ++pos) {
+    const MsId m = chain.chain[pos];
     const NodeId k = connect(m);
     if (k == net::kInvalidNode) return kInf;  // service failure
     if (pos == 0) {
       first = k;
-      total += vlinks.transfer_time(request.data_in, request.attach_node, k);
+      total += vlinks.transfer_time_fast(chain.data_in, chain.attach, k);
     } else {
-      total += vlinks.transfer_time(request.edge_data[pos - 1], prev, k);
+      total += vlinks.transfer_time_fast(chain.edge_data[pos - 1], prev, k);
     }
-    total += catalog.microservice(m).compute_gflop /
-             network.node(k).compute_gflops;
+    total += compute[static_cast<std::size_t>(m) * nodes +
+                     static_cast<std::size_t>(k)];
     prev = k;
   }
-  total += vlinks.transfer_time(request.data_out, prev, first);
+  total += vlinks.transfer_time_fast(chain.data_out, prev, first);
   return total;
+}
+
+double Combiner::estimate_class(const ScoreKernel& view,
+                                const NodeId* connection, int c) const {
+  const auto& soa = view.soa();
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  const auto attach =
+      static_cast<std::size_t>(soa.attach[static_cast<std::size_t>(c)]);
+  return estimate_chain(class_chain(soa, c), view.compute_times(),
+                        [&](MsId m) {
+                          return connection[static_cast<std::size_t>(m) *
+                                                nodes +
+                                            attach];
+                        });
 }
 
 double Combiner::estimated_completion(const workload::UserRequest& request,
                                       const Placement& placement) const {
-  return estimate_chain(request, [&](MsId m) {
-    return connection_at(request.attach_node, m, placement);
-  });
+  return estimate_chain(request_chain(request),
+                        class_view().compute_times(), [&](MsId m) {
+                          return connection_at(request.attach_node, m,
+                                               placement);
+                        });
 }
 
 double Combiner::estimated_objective(const Placement& placement) const {
+  const ScoreKernel& view = class_view();
+  const auto& soa = view.soa();
+  std::vector<NodeId> connection;
+  std::vector<NodeId> hosts;
+  fill_connections(placement, connection, hosts);
   double latency = 0.0;
-  for (const auto& cls : scenario_->classes().classes()) {
-    const auto& request = scenario_->request(cls.representative);
-    latency += cls.weight * estimated_completion(request, placement);
+  for (int c = 0; c < soa.num_classes(); ++c) {
+    latency += soa.weight[static_cast<std::size_t>(c)] *
+               estimate_class(view, connection.data(), c);
   }
   return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
                             latency);
 }
 
 double Combiner::refresh_estimate_cache(const Placement& placement) const {
-  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
   auto& cache = estimate_;
-  cache.connection.resize(
-      static_cast<std::size_t>(scenario_->num_microservices()) * nodes);
-  for (MsId m = 0; m < scenario_->num_microservices(); ++m) {
-    for (NodeId a = 0; a < scenario_->num_nodes(); ++a) {
-      cache.connection[static_cast<std::size_t>(m) * nodes +
-                       static_cast<std::size_t>(a)] =
-          connection_at(a, m, placement);
-    }
-  }
-  const auto& classes = scenario_->classes().classes();
-  cache.weight.resize(classes.size());
-  cache.completion.resize(classes.size());
+  cache.view = &class_view();
+  const auto& soa = cache.view->soa();
+  fill_connections(placement, cache.connection, serial_scratch_.hosts);
+  const auto count = static_cast<std::size_t>(soa.num_classes());
+  cache.completion.resize(count);
   double latency = 0.0;
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const auto& request = scenario_->request(classes[c].representative);
-    const auto attach = static_cast<std::size_t>(request.attach_node);
-    const double d = estimate_chain(request, [&](MsId m) {
-      return cache.connection[static_cast<std::size_t>(m) * nodes + attach];
-    });
-    cache.weight[c] = classes[c].weight;
+  for (std::size_t c = 0; c < count; ++c) {
+    const double d = estimate_class(*cache.view, cache.connection.data(),
+                                    static_cast<int>(c));
     cache.completion[c] = d;
-    latency += classes[c].weight * d;
+    latency += soa.weight[c] * d;
   }
   cache.latency_sum = latency;
   return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
                             latency);
 }
 
+bool Combiner::connection_row_moved(const Placement& trial, MsId changed,
+                                    EstimateScratch& scratch) const {
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  const NodeId* cached_row =
+      estimate_.connection.data() + static_cast<std::size_t>(changed) * nodes;
+  scratch.row.resize(nodes);
+  scratch.moved.resize(nodes);
+  trial.nodes_of_into(changed, scratch.hosts);
+  bool any_moved = false;
+  for (std::size_t a = 0; a < nodes; ++a) {
+    scratch.row[a] =
+        connection_among(static_cast<NodeId>(a), changed, scratch.hosts);
+    scratch.moved[a] = scratch.row[a] != cached_row[a] ? 1 : 0;
+    any_moved = any_moved || scratch.moved[a] != 0;
+  }
+  return any_moved;
+}
+
+double Combiner::reestimate(int c, MsId changed,
+                            const EstimateScratch& scratch) const {
+  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
+  const auto& cache = estimate_;
+  const auto& soa = cache.view->soa();
+  const auto attach =
+      static_cast<std::size_t>(soa.attach[static_cast<std::size_t>(c)]);
+  return estimate_chain(
+      class_chain(soa, c), cache.view->compute_times(), [&](MsId m) {
+        return m == changed
+                   ? scratch.row[attach]
+                   : cache.connection[static_cast<std::size_t>(m) * nodes +
+                                      attach];
+      });
+}
+
 double Combiner::estimated_objective_with_change(const Placement& trial,
                                                  MsId changed) const {
+  return estimated_objective_with_change(trial, changed, serial_scratch_);
+}
+
+double Combiner::estimated_objective_with_change(
+    const Placement& trial, MsId changed, EstimateScratch& scratch) const {
+  const auto& cache = estimate_;
+  const double cost = trial.deployment_cost(scenario_->catalog());
+  if (!connection_row_moved(trial, changed, scratch)) {
+    return evaluator_.combine(cost, cache.latency_sum);
+  }
   // Only `changed`'s connection row can differ from the cache, so only the
   // classes using it whose attach node reconnects need a new estimate; the
   // total is re-summed class-major from the cached values, which keeps it
   // bitwise equal to estimated_objective(trial).
-  const auto nodes = static_cast<std::size_t>(scenario_->num_nodes());
-  const auto& cache = estimate_;
-  const NodeId* cached_row =
-      cache.connection.data() + static_cast<std::size_t>(changed) * nodes;
-  std::vector<NodeId> row(nodes);
-  std::vector<char> moved(nodes, 0);
-  bool any_moved = false;
-  for (std::size_t a = 0; a < nodes; ++a) {
-    row[a] = connection_at(static_cast<NodeId>(a), changed, trial);
-    moved[a] = row[a] != cached_row[a];
-    any_moved = any_moved || moved[a] != 0;
-  }
-  const double cost = trial.deployment_cost(scenario_->catalog());
-  if (!any_moved) return evaluator_.combine(cost, cache.latency_sum);
-
+  const auto& soa = cache.view->soa();
   const auto& users = scenario_->classes().classes_using(changed);
-  const auto& classes = scenario_->classes().classes();
   std::size_t next = 0;
   std::int64_t reestimated = 0;
   double latency = 0.0;
@@ -199,42 +289,17 @@ double Combiner::estimated_objective_with_change(const Placement& trial,
     double d = cache.completion[c];
     if (next < users.size() && users[next] == static_cast<int>(c)) {
       ++next;
-      const auto& request = scenario_->request(classes[c].representative);
-      const auto attach = static_cast<std::size_t>(request.attach_node);
-      if (moved[attach] != 0) {
-        d = estimate_chain(request, [&](MsId m) {
-          return m == changed
-                     ? row[attach]
-                     : cache.connection[static_cast<std::size_t>(m) * nodes +
-                                        attach];
-        });
+      if (scratch.moved[static_cast<std::size_t>(soa.attach[c])] != 0) {
+        d = reestimate(static_cast<int>(c), changed, scratch);
         ++reestimated;
       }
     }
-    latency += cache.weight[c] * d;
+    latency += soa.weight[c] * d;
   }
   if (config_.sink != nullptr) {
     classes_reestimated_.fetch_add(reestimated);
   }
   return evaluator_.combine(cost, latency);
-}
-
-double Combiner::psi_for_instance(MsId m, NodeId k,
-                                  const Placement& placement) const {
-  // ψ(P'^t): latency of users whose connection for m is the instance at k.
-  const auto& vlinks = scenario_->vlinks();
-  const double compute = scenario_->catalog().microservice(m).compute_gflop /
-                         scenario_->network().node(k).compute_gflops;
-  double total = 0.0;
-  for (int c : scenario_->classes().classes_using(m)) {
-    const auto& cls = scenario_->classes().cls(c);
-    const auto& request = scenario_->request(cls.representative);
-    if (best_connection(request.id, m, placement) != k) continue;
-    const double data = scenario_->request_inbound_data(request, m);
-    total += cls.weight *
-             (vlinks.transfer_time(data, request.attach_node, k) + compute);
-  }
-  return total;
 }
 
 double Combiner::zeta_for_instance(MsId m, NodeId k,
@@ -371,9 +436,14 @@ bool Combiner::violates_deadline(const Placement& placement) const {
     // heap-allocated on every rollback check).
     return engine_.any_deadline_violation(placement);
   }
-  for (const auto& cls : scenario_->classes().classes()) {
-    const auto& request = scenario_->request(cls.representative);
-    if (estimated_completion(request, placement) > request.deadline + 1e-9) {
+  const ScoreKernel& view = class_view();
+  const auto& soa = view.soa();
+  std::vector<NodeId> connection;
+  std::vector<NodeId> hosts;
+  fill_connections(placement, connection, hosts);
+  for (int c = 0; c < soa.num_classes(); ++c) {
+    if (estimate_class(view, connection.data(), c) >
+        soa.deadline[static_cast<std::size_t>(c)] + 1e-9) {
       return true;
     }
   }
@@ -416,7 +486,7 @@ double Combiner::score_move(const Placement& trial, MsId changed,
                ? engine_.objective_without(changed, removed, trial, ctx)
                : engine_.objective_with_change(trial, changed, ctx);
   }
-  return estimated_objective_with_change(trial, changed);
+  return estimated_objective_with_change(trial, changed, ctx.arena.estimate);
 }
 
 std::vector<bool> Combiner::dependency_conflict_filter(

@@ -20,6 +20,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 
 #include "core/evaluator.h"
 #include "core/preprovision.h"
@@ -125,12 +127,22 @@ class Combiner {
                        const Placement& placement) const;
 
   /// Cheap completion-time estimate D̃_h under the connection map implied by
-  /// `placement` (upper-bounds the exact router's D_h).
+  /// `placement` (upper-bounds the exact router's D_h). Reads the class
+  /// view, which it first syncs to the workload epoch (possibly rebuilding
+  /// the engine's class index and kernel view): call from serial code only,
+  /// never concurrently with another entry point of this combiner.
   double estimated_completion(const workload::UserRequest& request,
                               const Placement& placement) const;
 
   /// Σ_h D̃_h plus cost, combined into the objective (the Q of Algorithm 3).
+  /// Serial code only, like estimated_completion.
   double estimated_objective(const Placement& placement) const;
+
+  /// The roll-back check of Eq. (4): some class misses its deadline (or is
+  /// unroutable) under `placement` — routed exactly when use_exact_eval(),
+  /// otherwise by the connection-rule estimate. Serial code only, like
+  /// estimated_completion. Exposed for tests.
+  bool violates_deadline(const Placement& placement) const;
 
   /// Objective used by the serial stage's Q'/Q'': the exact evaluation when
   /// the instance is small enough to route exactly per move, otherwise the
@@ -138,12 +150,14 @@ class Combiner {
   double serial_objective(const Placement& placement) const;
 
   /// Estimate-regime incremental scoring (DESIGN.md §4c): caches the
-  /// connection table and per-class estimates under `placement` and returns
-  /// estimated_objective(placement). Subsequent estimated_objective_with_change
-  /// calls re-estimate only the classes a move can touch.
+  /// connection table and the per-class estimates under `placement`, and
+  /// returns estimated_objective(placement). Subsequent
+  /// estimated_objective_with_change calls re-estimate only the classes a
+  /// move can touch. Serial code only.
   double refresh_estimate_cache(const Placement& placement) const;
   /// estimated_objective(trial), bitwise, assuming `trial` differs from the
-  /// cached placement only in instances of microservice `changed`.
+  /// cached placement only in instances of microservice `changed`. Uses the
+  /// combiner's serial scratch: serial code only.
   double estimated_objective_with_change(const Placement& trial,
                                          MsId changed) const;
 
@@ -188,7 +202,6 @@ class Combiner {
   };
   DenseBasin descend_dense_basin() const;
 
-  double psi_for_instance(MsId m, NodeId k, const Placement& placement) const;
   /// Per-microservice work shared by every removable instance of m in one
   /// latency_losses pass: the classes whose chains use m (ascending class
   /// id), bucketed by their connection under the scored placement. Hoisting
@@ -205,14 +218,51 @@ class Combiner {
   };
   double zeta_for_instance(MsId m, NodeId k, const Placement& placement,
                            const ZetaPrep& prep) const;
-  bool violates_deadline(const Placement& placement) const;
   bool use_exact_eval() const;
+
+  /// Everything estimate_chain reads of one demand tuple, borrowed either
+  /// from a UserRequest or from a row of the kernel's ClassDemandSoA.
+  struct ChainView {
+    const MsId* chain;
+    std::size_t length;
+    const double* edge_data;  ///< edge e joins chain positions e and e+1
+    NodeId attach;
+    double data_in;
+    double data_out;
+  };
+  static ChainView request_chain(const workload::UserRequest& request);
+  static ChainView class_chain(const workload::ClassDemandSoA& soa, int c);
+  /// The flat class view every class-indexed estimate reads: the engine's
+  /// kernel, or in legacy scoring (no kernel) a table-less kernel built on
+  /// first use. Synced to the workload epoch; call from serial code only.
+  const ScoreKernel& class_view() const;
+  /// The connection-update rule over `hosts`, the nodes hosting m in
+  /// ascending order; connection_at and every connection table share it.
+  NodeId connection_among(NodeId attach, MsId m,
+                          std::span<const NodeId> hosts) const;
+  /// connection[m · nodes + a] = connection_at(a, m, placement).
+  void fill_connections(const Placement& placement,
+                        std::vector<NodeId>& connection,
+                        std::vector<NodeId>& hosts) const;
   /// D̃_h with the connection of each chain microservice supplied by
-  /// `connect(m)`; the one arithmetic path behind every estimate, so cached
-  /// and from-scratch estimates agree bit for bit.
+  /// `connect(m)` and compute times read from `compute` ([m · nodes + k]);
+  /// the one arithmetic path behind every estimate, so cached and
+  /// from-scratch estimates agree bit for bit.
   template <typename Connect>
-  double estimate_chain(const workload::UserRequest& request,
+  double estimate_chain(const ChainView& chain, const double* compute,
                         const Connect& connect) const;
+  /// D̃ of class c under a filled connection table.
+  double estimate_class(const ScoreKernel& view, const NodeId* connection,
+                        int c) const;
+  /// Fills scratch.row / scratch.moved with `changed`'s connections under
+  /// `trial`; true when some attach node reconnects.
+  bool connection_row_moved(const Placement& trial, MsId changed,
+                            EstimateScratch& scratch) const;
+  /// D̃ of class c under the trial whose row connection_row_moved filled:
+  /// the cached connections with the changed service's row swapped in.
+  double reestimate(int c, MsId changed, const EstimateScratch& scratch) const;
+  double estimated_objective_with_change(const Placement& trial, MsId changed,
+                                         EstimateScratch& scratch) const;
   /// Refreshes the cache of the scoring regime in force (`exact`: the
   /// engine's route cache; otherwise the estimate cache) and returns the
   /// objective of `placement` under that regime.
@@ -238,15 +288,20 @@ class Combiner {
   /// engine's route cache. Written only by refresh_estimate_cache (serial),
   /// read concurrently by score_candidates workers.
   struct EstimateCache {
+    /// The class view the cache was built from (weights, deadlines, chains).
+    const ScoreKernel* view = nullptr;
     /// connection[m · nodes + a]: connection_at(a, m, cached placement).
     std::vector<NodeId> connection;
-    /// Per class (class index): weight and estimated completion D̃.
-    std::vector<double> weight;
+    /// Per class (class index): estimated completion D̃.
     std::vector<double> completion;
     /// Σ_c weight_c · D̃_c, totalised class-major.
     double latency_sum = 0.0;
   };
   mutable EstimateCache estimate_;
+  /// Fallback class view of legacy scoring (see class_view()).
+  mutable std::unique_ptr<ScoreKernel> legacy_view_;
+  /// Scratch of the serial estimated_objective_with_change entry point.
+  mutable EstimateScratch serial_scratch_;
   /// Classes re-estimated by estimated_objective_with_change; counted only
   /// while a sink is attached (`socl.combination.classes_reestimated`).
   mutable std::atomic<std::int64_t> classes_reestimated_{0};

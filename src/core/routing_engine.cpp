@@ -117,9 +117,7 @@ double RoutingEngine::combine(double cost, double total_latency) const {
          (1.0 - constants.lambda) * constants.latency_weight * total_latency;
 }
 
-void RoutingEngine::refresh(const Placement& placement) {
-  const obs::ScopedSpan span(sink_, obs::Phase::kRouting, "routing.refresh");
-  util::WallTimer timer;
+void RoutingEngine::sync_workload() {
   // A mutated workload (regenerate_chains, mobility reattach) invalidates
   // the class partition, the per-microservice index, and the kernel's SoA
   // buffers; re-derive them here so no caller can score against a stale view.
@@ -127,6 +125,12 @@ void RoutingEngine::refresh(const Placement& placement) {
     rebuild_class_index();
   }
   if (kernel_ && kernel_->sync()) ++counters_.kernel.rebuilds;
+}
+
+void RoutingEngine::refresh(const Placement& placement) {
+  const obs::ScopedSpan span(sink_, obs::Phase::kRouting, "routing.refresh");
+  util::WallTimer timer;
+  sync_workload();
   const auto& classes = scenario_->classes().classes();
   const std::size_t n = classes.size();
 

@@ -111,6 +111,10 @@ class RoutingEngine {
   /// before the objective_* shortcuts. Not safe to run concurrently with
   /// any other entry point (it rewrites the cache they read).
   void refresh(const Placement& placement);
+  /// refresh()'s first step alone: re-derives the class index and the
+  /// kernel's SoA view iff the workload epoch moved. Same barrier rule as
+  /// refresh(); the combiner's estimate regime reads the view after it.
+  void sync_workload();
   /// Epoch of the current cache; 0 means "never refreshed".
   std::uint64_t epoch() const { return epoch_; }
   /// Σ_c weight_c · D_c — the class-major total the objectives build on.

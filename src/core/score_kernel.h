@@ -74,6 +74,18 @@ struct KernelStats {
   }
 };
 
+/// Per-worker buffers of the combiner's estimate-regime move scoring
+/// (core/combination.cpp), which reads the kernel's class view. They live in
+/// the kernel Arena so a scored move allocates nothing once they have grown.
+struct EstimateScratch {
+  /// The changed service's connection per attach node under the trial.
+  std::vector<NodeId> row;
+  /// row[a] differs from the cached connection of attach node a.
+  std::vector<std::uint8_t> moved;
+  /// Nodes hosting the changed service in the trial (ascending).
+  std::vector<NodeId> hosts;
+};
+
 class ScoreKernel {
  public:
   /// Per-shard scratch: lane matrices, reconstruction buffers, and the
@@ -113,6 +125,9 @@ class ScoreKernel {
     std::vector<double> next1;
     std::vector<std::int32_t> back;
     std::vector<NodeId> route;
+
+    /// The connection-rule estimate's per-move buffers (not used by the DP).
+    EstimateScratch estimate;
   };
 
   /// Default byte budget for the precomputed link-delay tables (d_in rows,
@@ -159,6 +174,8 @@ class ScoreKernel {
   /// Heap footprint of the SoA view plus the delay tables.
   std::size_t soa_bytes() const;
   const workload::ClassDemandSoA& soa() const { return soa_; }
+  /// The microservice × node compute-time matrix, [m * V + k] (compute_).
+  const double* compute_times() const { return compute_.data(); }
 
  private:
   struct BatchBest {

@@ -230,35 +230,50 @@ const Fixture& estimate_fixture() {
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
-TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
-  const auto& fx = estimate_fixture();
-  Combiner combiner(fx.scenario, fx.partitioning, {});
-  // Thin the dense pre-provisioning so adds, relocations, and removals that
-  // orphan a class (even services cut to a single instance) all occur.
-  Placement base = fx.pre.placement;
-  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
-    const auto nodes = base.nodes_of(m);
-    const std::size_t stride = m % 2 == 0 ? nodes.size() : 3;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (i % stride != 0) base.remove(m, nodes[i]);
+/// Classes whose from-scratch estimate under `placement` misses the deadline.
+int late_classes(const Combiner& combiner, const Scenario& scenario,
+                 const Placement& placement) {
+  int late = 0;
+  for (const auto& cls : scenario.classes().classes()) {
+    const auto& request = scenario.request(cls.representative);
+    if (combiner.estimated_completion(request, placement) >
+        request.deadline + 1e-9) {
+      ++late;
     }
   }
-  ASSERT_EQ(bits(combiner.refresh_estimate_cache(base)),
-            bits(combiner.estimated_objective(base)));
+  return late;
+}
 
+struct SweepCounts {
   int moves = 0;
   int orphans = 0;
+  int late_verdicts = 0;
+};
+
+/// Every add, remove and relocate move off `base`, and the no-op move: the
+/// incremental score must match the full estimate bit for bit, and the
+/// roll-back check (estimated over the connection table) the late count of
+/// from-scratch per-request estimates.
+SweepCounts sweep_moves(const Combiner& combiner, const Scenario& scenario,
+                        const Placement& base) {
+  EXPECT_EQ(bits(combiner.refresh_estimate_cache(base)),
+            bits(combiner.estimated_objective(base)));
+  SweepCounts counts;
   const auto check = [&](const Placement& trial, MsId m) {
     const double full = combiner.estimated_objective(trial);
     const double incremental =
         combiner.estimated_objective_with_change(trial, m);
     ASSERT_EQ(bits(incremental), bits(full))
         << "m=" << m << " full=" << full << " incremental=" << incremental;
-    ++moves;
-    if (std::isinf(full)) ++orphans;
+    const bool late = late_classes(combiner, scenario, trial) > 0;
+    ASSERT_EQ(combiner.violates_deadline(trial), late) << "m=" << m;
+    ++counts.moves;
+    if (std::isinf(full)) ++counts.orphans;
+    if (late) ++counts.late_verdicts;
   };
-  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
-    for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
+  for (MsId m = 0; m < scenario.num_microservices(); ++m) {
+    check(base, m);  // no connection moves: the cached total
+    for (NodeId k = 0; k < scenario.num_nodes(); ++k) {
       if (!base.deployed(m, k)) {
         Placement add = base;
         add.deploy(m, k);
@@ -268,7 +283,7 @@ TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
       Placement remove = base;
       remove.remove(m, k);
       check(remove, m);
-      for (NodeId q = 0; q < fx.scenario.num_nodes(); ++q) {
+      for (NodeId q = 0; q < scenario.num_nodes(); ++q) {
         if (base.deployed(m, q)) continue;
         Placement relocate = remove;
         relocate.deploy(m, q);
@@ -276,8 +291,104 @@ TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
       }
     }
   }
-  EXPECT_GT(moves, 500);
-  EXPECT_GT(orphans, 0) << "no move removed a service's last instance";
+  return counts;
+}
+
+TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
+  const auto& fx = estimate_fixture();
+  Combiner combiner(fx.scenario, fx.partitioning, {});
+  // Thin the dense pre-provisioning so adds, relocations, and removals that
+  // orphan a class (even services cut to a single instance) all occur. The
+  // thinned base already has late classes; the dense one has none, so the
+  // roll-back check is swept from both sides.
+  Placement thinned = fx.pre.placement;
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    const auto nodes = thinned.nodes_of(m);
+    const std::size_t stride = m % 2 == 0 ? nodes.size() : 3;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (i % stride != 0) thinned.remove(m, nodes[i]);
+    }
+  }
+  {
+    SCOPED_TRACE("thinned base, some classes late");
+    ASSERT_GT(late_classes(combiner, fx.scenario, thinned), 0);
+    const SweepCounts counts =
+        sweep_moves(combiner, fx.scenario, thinned);
+    EXPECT_GT(counts.moves, 500);
+    EXPECT_GT(counts.orphans, 0) << "no move removed a service's last instance";
+    EXPECT_LT(counts.late_verdicts, counts.moves) << "no move cured the base";
+  }
+  {
+    SCOPED_TRACE("dense base, no class late");
+    ASSERT_EQ(late_classes(combiner, fx.scenario, fx.pre.placement), 0);
+    const SweepCounts counts =
+        sweep_moves(combiner, fx.scenario, fx.pre.placement);
+    EXPECT_GT(counts.moves, 200);
+  }
+}
+
+TEST(CombinerEstimateCache, LegacyScoringEstimatesFromItsOwnClassView) {
+  // Without the SoA kernel the combiner builds a table-less kernel for the
+  // class view alone; its estimates must be the kernel-mode bits.
+  const auto& fx = estimate_fixture();
+  CombinationConfig legacy;
+  legacy.use_score_kernel = false;
+  const Combiner with_kernel(fx.scenario, fx.partitioning, {});
+  const Combiner without(fx.scenario, fx.partitioning, legacy);
+  ASSERT_FALSE(without.engine().kernel_enabled());
+  Placement placement = fx.pre.placement;
+  with_kernel.descend_to_budget(placement);
+  EXPECT_EQ(bits(without.refresh_estimate_cache(placement)),
+            bits(with_kernel.estimated_objective(placement)));
+  EXPECT_EQ(without.violates_deadline(placement),
+            with_kernel.violates_deadline(placement));
+  Placement legacy_descent = fx.pre.placement;
+  without.descend_to_budget(legacy_descent);
+  EXPECT_EQ(legacy_descent, placement);
+}
+
+// Two request classes on three nodes; the first chain visits microservice 0
+// twice, so one move reconnects two of its positions at once.
+Scenario make_revisit_scenario() {
+  net::EdgeNetwork network;
+  for (const double gflops : {10.0, 25.0, 6.0}) {
+    net::EdgeNode node;
+    node.compute_gflops = gflops;
+    network.add_node(node);
+  }
+  network.add_link_with_rate(0, 1, 10.0);
+  network.add_link_with_rate(1, 2, 4.0);
+  network.add_link_with_rate(0, 2, 2.5);
+  workload::UserRequest revisit;
+  revisit.id = 0;
+  revisit.attach_node = 0;
+  revisit.chain = {0, 1, 0};
+  revisit.edge_data = {2.0, 3.0};
+  revisit.data_in = 1.5;
+  revisit.data_out = 0.5;
+  revisit.deadline = 1e9;
+  workload::UserRequest other;
+  other.id = 1;
+  other.attach_node = 2;
+  other.chain = {1, 0};
+  other.edge_data = {1.0};
+  other.deadline = 1e9;
+  return Scenario(std::move(network), workload::tiny_catalog(),
+                  {revisit, other}, {});
+}
+
+TEST(CombinerEstimateCache, RevisitedServiceScoresBitwiseLikeFullEstimate) {
+  const Scenario scenario = make_revisit_scenario();
+  const Partitioning partitioning = initial_partition(scenario, {});
+  const Combiner combiner(scenario, partitioning, {});
+  ASSERT_EQ(scenario.classes().num_classes(), 2);
+  Placement base(scenario);
+  base.deploy(0, 0);
+  base.deploy(0, 2);
+  base.deploy(1, 1);
+  const SweepCounts counts = sweep_moves(combiner, scenario, base);
+  EXPECT_GT(counts.moves, 4);
+  EXPECT_GT(counts.orphans, 0);
 }
 
 TEST(CombinerEstimateCache, DescentsIdenticalAcrossThreadCountsAndRescan) {
