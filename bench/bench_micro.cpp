@@ -52,43 +52,6 @@ void BM_VirtualLinksBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_VirtualLinksBuild)->Arg(10)->Arg(30);
 
-void BM_ChainRouteSingleUser(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  core::Placement placement(scenario);
-  for (core::MsId m = 0; m < scenario.num_microservices(); ++m) {
-    for (const core::NodeId k : scenario.demand_nodes(m)) {
-      placement.deploy(m, k);
-    }
-  }
-  const core::ChainRouter router(scenario);
-  const auto& request = scenario.requests().front();
-  for (auto _ : state) {
-    auto route = router.route(request, placement);
-    benchmark::DoNotOptimize(route);
-  }
-}
-BENCHMARK(BM_ChainRouteSingleUser);
-
-void BM_ChainRouteScratchReuse(benchmark::State& state) {
-  // The scoring kernel: route_cost with a warm scratch — no back-pointers,
-  // no reconstruction, no allocations. Compare against BM_ChainRouteSingleUser.
-  const auto& scenario = shared_scenario();
-  core::Placement placement(scenario);
-  for (core::MsId m = 0; m < scenario.num_microservices(); ++m) {
-    for (const core::NodeId k : scenario.demand_nodes(m)) {
-      placement.deploy(m, k);
-    }
-  }
-  const core::ChainRouter router(scenario);
-  const auto& request = scenario.requests().front();
-  core::RouteScratch scratch;
-  for (auto _ : state) {
-    double cost = router.route_cost(request, placement, scratch);
-    benchmark::DoNotOptimize(cost);
-  }
-}
-BENCHMARK(BM_ChainRouteScratchReuse);
-
 // ---- Serial-stage candidate scan: exact full rescore vs the incremental
 // routing engine. Both score the identical removal-candidate list with the
 // exact objective; the engine refreshes its per-class route cache once and
@@ -403,6 +366,44 @@ void BM_PolishEstimateRegime(benchmark::State& state) {
   state.counters["nodes"] = setup.scenario.num_nodes();
 }
 BENCHMARK(BM_PolishEstimateRegime)->Unit(benchmark::kMillisecond);
+
+// The kernel against its oracle over the polish case's class set (3,200
+// classes x 16 nodes, budget-descended placement): every class's cost and
+// route, through ScoreKernel::class_cost + class_route on a fresh arena
+// (scorer:0, so no class-cost memo carries over between iterations) or
+// through ChainRouter::route_cost + route_into on a warmed scratch
+// (scorer:1). The ratio of the two is the kernel's per-class speedup.
+void BM_KernelVsChainRouter(benchmark::State& state) {
+  static const EstimatePolishSetup setup;
+  const bool oracle = state.range(0) != 0;
+  const core::Scenario& scenario = setup.scenario;
+  const workload::RequestClasses& classes = scenario.classes();
+  const core::ScoreKernel kernel(scenario);
+  const core::ChainRouter router(scenario);
+  core::RouteScratch scratch;
+  core::KernelStats stats;
+  core::RouteResult route;
+  for (auto _ : state) {
+    core::ScoreKernel::Arena arena;
+    kernel.bind(arena, setup.start);
+    double total = 0.0;
+    for (int c = 0; c < classes.num_classes(); ++c) {
+      const auto& request = scenario.request(classes.cls(c).representative);
+      if (oracle) {
+        total += router.route_cost(request, setup.start, scratch);
+        router.route_into(request, setup.start, scratch, route);
+      } else {
+        total += kernel.class_cost(c, arena, stats);
+        kernel.class_route(c, arena, stats, route);
+      }
+      total += route.total();
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.counters["classes"] = classes.num_classes();
+}
+BENCHMARK(BM_KernelVsChainRouter)->ArgName("scorer")->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
 
 void BM_SimplexRandomLp(benchmark::State& state) {
   util::Rng rng(7);

@@ -22,7 +22,7 @@ void usage(const char* argv0) {
       << "  --seed N         run exactly one seed (same as --cases 1 "
          "--base-seed N)\n"
       << "  --no-mip         skip the MIP cross-check leg\n"
-      << "  --kernel         run the kernel-vs-legacy scoring lane instead\n"
+      << "  --kernel         run the kernel-vs-ChainRouter lane instead\n"
          "                   of the solver cross-checks (DESIGN.md 4h)\n"
       << "  --exact-limit S  exact-solver time limit per case, seconds "
          "(default 10)\n"

@@ -31,7 +31,7 @@ Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
       partitioning_(&partitioning),
       config_(config),
       evaluator_(scenario),
-      engine_(scenario, config.threads, config.use_score_kernel) {
+      engine_(scenario, config.threads) {
   engine_.set_sink(config_.sink);
   const auto services = static_cast<std::size_t>(scenario.num_microservices());
   const auto nodes = static_cast<std::size_t>(scenario.num_nodes());
@@ -135,15 +135,7 @@ Combiner::ChainView Combiner::class_chain(const workload::ClassDemandSoA& soa,
 
 const ScoreKernel& Combiner::class_view() const {
   engine_.sync_workload();
-  if (const ScoreKernel* kernel = engine_.kernel()) return *kernel;
-  // Legacy scoring builds no kernel; one with no delay-table budget holds
-  // just the class view and the compute matrix.
-  if (!legacy_view_) {
-    legacy_view_ = std::make_unique<ScoreKernel>(*scenario_, 0);
-  } else {
-    legacy_view_->sync();
-  }
-  return *legacy_view_;
+  return engine_.kernel();
 }
 
 template <typename Connect>
@@ -432,8 +424,7 @@ bool Combiner::violates_deadline(const Placement& placement) const {
   // representative's verdict covers the whole class.
   if (use_exact_eval()) {
     // Route the verdict through the engine so it shares the kernel scoring
-    // hot path (and its scratch slots — the old local RouteScratch here
-    // heap-allocated on every rollback check).
+    // hot path and its leased arenas.
     return engine_.any_deadline_violation(placement);
   }
   const ScoreKernel& view = class_view();

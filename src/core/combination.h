@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "core/evaluator.h"
@@ -47,13 +46,6 @@ struct CombinationConfig {
   /// same either way (the determinism tests in test_routing_engine and
   /// test_combination enforce it).
   int threads = 0;
-  /// Score classes through the SoA kernel (DESIGN.md §4h): a lane-batched
-  /// chain DP over contiguous buffers that evaluates all first-layer
-  /// conditionings at once. false keeps the legacy per-conditioning
-  /// ChainRouter path; results are bit-identical either way (enforced by
-  /// the differential harness's kernel lane and `bench_scale --check`),
-  /// only the wall time differs.
-  bool use_score_kernel = true;
   bool use_parallel_stage = true;   // ablation switches
   bool use_storage_planning = true;
   bool use_rollback = true;
@@ -233,8 +225,7 @@ class Combiner {
   static ChainView request_chain(const workload::UserRequest& request);
   static ChainView class_chain(const workload::ClassDemandSoA& soa, int c);
   /// The flat class view every class-indexed estimate reads: the engine's
-  /// kernel, or in legacy scoring (no kernel) a table-less kernel built on
-  /// first use. Synced to the workload epoch; call from serial code only.
+  /// kernel, synced to the workload epoch; call from serial code only.
   const ScoreKernel& class_view() const;
   /// The connection-update rule over `hosts`, the nodes hosting m in
   /// ascending order; connection_at and every connection table share it.
@@ -298,8 +289,6 @@ class Combiner {
     double latency_sum = 0.0;
   };
   mutable EstimateCache estimate_;
-  /// Fallback class view of legacy scoring (see class_view()).
-  mutable std::unique_ptr<ScoreKernel> legacy_view_;
   /// Scratch of the serial estimated_objective_with_change entry point.
   mutable EstimateScratch serial_scratch_;
   /// Classes re-estimated by estimated_objective_with_change; counted only

@@ -64,8 +64,8 @@ class ChainRouter {
 
   /// Optimal completion time only — no back-pointers, no reconstruction, and
   /// no allocations once the scratch has warmed up. Returns +infinity when
-  /// the request is unroutable. This is the kernel of the incremental
-  /// candidate-scoring path.
+  /// the request is unroutable. ScoreKernel::class_cost is checked against
+  /// it bit for bit.
   double route_cost(const workload::UserRequest& request,
                     const Placement& placement, RouteScratch& scratch) const;
 

@@ -25,12 +25,8 @@ void RoutingCounters::merge(const RoutingCounters& other) {
   kernel.merge(other.kernel);
 }
 
-RoutingEngine::RoutingEngine(const Scenario& scenario, int threads,
-                             bool use_kernel)
-    : scenario_(&scenario),
-      router_(scenario),
-      kernel_(use_kernel ? std::make_unique<ScoreKernel>(scenario) : nullptr),
-      threads_(threads) {
+RoutingEngine::RoutingEngine(const Scenario& scenario, int threads)
+    : scenario_(&scenario), kernel_(scenario), threads_(threads) {
   rebuild_class_index();
 }
 
@@ -79,24 +75,6 @@ void RoutingEngine::merge_counters(const RoutingCounters& local) {
   counters_.merge(local);
 }
 
-double RoutingEngine::class_cost(int c, const Placement& placement,
-                                 ScoreContext& ctx) const {
-  if (kernel_) return kernel_->class_cost(c, ctx.arena, ctx.counters.kernel);
-  const auto& cls = scenario_->classes().cls(c);
-  const auto& request = scenario_->request(cls.representative);
-  return router_.route_cost(request, placement, ctx.scratch);
-}
-
-bool RoutingEngine::class_route(int c, const Placement& placement,
-                                ScoreContext& ctx, RouteResult& out) const {
-  if (kernel_) {
-    return kernel_->class_route(c, ctx.arena, ctx.counters.kernel, out);
-  }
-  const auto& cls = scenario_->classes().cls(c);
-  const auto& request = scenario_->request(cls.representative);
-  return router_.route_into(request, placement, ctx.scratch, out);
-}
-
 util::ThreadPool& RoutingEngine::pool() {
   if (!pool_) {
     pool_ = std::make_unique<util::ThreadPool>(
@@ -106,7 +84,6 @@ util::ThreadPool& RoutingEngine::pool() {
   // width to hardware concurrency only at construction, so `threads_` alone
   // cannot size the slots, and sizing only at first construction left them
   // permanently undersized for any later, wider pool.
-  if (scratches_.size() < pool_->size()) scratches_.resize(pool_->size());
   if (arenas_.size() < pool_->size()) arenas_.resize(pool_->size());
   return *pool_;
 }
@@ -124,7 +101,7 @@ void RoutingEngine::sync_workload() {
   if (workload_epoch_seen_ != scenario_->workload_epoch()) {
     rebuild_class_index();
   }
-  if (kernel_ && kernel_->sync()) ++counters_.kernel.rebuilds;
+  if (kernel_.sync()) ++counters_.kernel.rebuilds;
 }
 
 void RoutingEngine::refresh(const Placement& placement) {
@@ -162,7 +139,8 @@ void RoutingEngine::refresh(const Placement& placement) {
 
   const auto route_class = [&](std::size_t c, ScoreContext& ctx,
                                RouteResult& route) {
-    const bool ok = class_route(static_cast<int>(c), placement, ctx, route);
+    const bool ok = kernel_.class_route(static_cast<int>(c), ctx.arena,
+                                        ctx.counters.kernel, route);
     ++ctx.counters.routes_computed;
     cached_latency_[c] = ok ? route.total() : kInf;
     auto& cached = cached_routes_[c];
@@ -180,7 +158,7 @@ void RoutingEngine::refresh(const Placement& placement) {
   if (!fan_out) {
     SlotLease lease(*this);
     ScoreContext ctx = lease.context();
-    if (kernel_) kernel_->bind(ctx.arena, placement, gen);
+    kernel_.bind(ctx.arena, placement, gen);
     RouteResult route;
     for (const int c : to_route_) {
       route_class(static_cast<std::size_t>(c), ctx, route);
@@ -190,10 +168,9 @@ void RoutingEngine::refresh(const Placement& placement) {
     std::vector<RoutingCounters> worker_counters(workers.size());
     std::vector<RouteResult> worker_routes(workers.size());
     workers.parallel_for_workers(count, [&](std::size_t worker, std::size_t i) {
-      assert(worker < scratches_.size() && worker < arenas_.size());
-      ScoreContext ctx{scratches_[worker], worker_counters[worker],
-                       arenas_[worker]};
-      if (kernel_) kernel_->bind(ctx.arena, placement, gen);
+      assert(worker < arenas_.size());
+      ScoreContext ctx{worker_counters[worker], arenas_[worker]};
+      kernel_.bind(ctx.arena, placement, gen);
       route_class(static_cast<std::size_t>(to_route_[i]), ctx,
                   worker_routes[worker]);
     });
@@ -225,7 +202,7 @@ double RoutingEngine::objective_without(MsId m, NodeId k,
   // An unroutable cached placement scores +inf for every neighbour reachable
   // by a removal; bail before the per-class deltas can turn inf into NaN.
   if (!std::isfinite(cached_latency_sum_)) return kInf;
-  if (kernel_) kernel_->bind(ctx.arena, trial, next_bind_gen());
+  kernel_.bind(ctx.arena, trial, next_bind_gen());
   // Removing (m, k) can only affect classes whose current optimal route
   // sends some occurrence of m to k — everyone else's optimum is still
   // available in the smaller feasible set. This cuts removal scans by
@@ -251,7 +228,8 @@ double RoutingEngine::objective_without(MsId m, NodeId k,
       ++ctx.counters.cache_hits;
       continue;
     }
-    const double rerouted = class_cost(c, trial, ctx);
+    const double rerouted =
+        kernel_.class_cost(c, ctx.arena, ctx.counters.kernel);
     ++ctx.counters.routes_computed;
     if (rerouted == kInf) return kInf;
     latency +=
@@ -271,11 +249,12 @@ double RoutingEngine::objective_with_change(const Placement& trial,
                                             MsId changed,
                                             ScoreContext& ctx) const {
   if (!std::isfinite(cached_latency_sum_)) return kInf;
-  if (kernel_) kernel_->bind(ctx.arena, trial, next_bind_gen());
+  kernel_.bind(ctx.arena, trial, next_bind_gen());
   double latency = cached_latency_sum_;
   for (const int c : classes_of_[static_cast<std::size_t>(changed)]) {
     const auto& cls = scenario_->classes().cls(c);
-    const double rerouted = class_cost(c, trial, ctx);
+    const double rerouted =
+        kernel_.class_cost(c, ctx.arena, ctx.counters.kernel);
     ++ctx.counters.routes_computed;
     if (rerouted == kInf) return kInf;
     latency +=
@@ -293,11 +272,12 @@ double RoutingEngine::objective_with_change(const Placement& trial,
 
 double RoutingEngine::full_objective(const Placement& placement,
                                      ScoreContext& ctx) const {
-  if (kernel_) kernel_->bind(ctx.arena, placement, next_bind_gen());
+  kernel_.bind(ctx.arena, placement, next_bind_gen());
   double latency = 0.0;
   const auto& classes = scenario_->classes().classes();
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    const double d = class_cost(static_cast<int>(c), placement, ctx);
+    const double d = kernel_.class_cost(static_cast<int>(c), ctx.arena,
+                                        ctx.counters.kernel);
     ++ctx.counters.routes_computed;
     if (d == kInf) return kInf;
     latency += classes[c].weight * d;
@@ -314,12 +294,13 @@ double RoutingEngine::full_objective(const Placement& placement) {
 bool RoutingEngine::any_deadline_violation(const Placement& placement) {
   SlotLease lease(*this);
   ScoreContext ctx = lease.context();
-  if (kernel_) kernel_->bind(ctx.arena, placement, next_bind_gen());
+  kernel_.bind(ctx.arena, placement, next_bind_gen());
   const auto& classes = scenario_->classes().classes();
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const auto& request =
         scenario_->request(classes[c].representative);
-    const double d = class_cost(static_cast<int>(c), placement, ctx);
+    const double d = kernel_.class_cost(static_cast<int>(c), ctx.arena,
+                                        ctx.counters.kernel);
     ++ctx.counters.routes_computed;
     // route_cost is +inf for unroutable classes, which trips the deadline.
     if (d > request.deadline + 1e-9) return true;
@@ -339,7 +320,7 @@ std::vector<double> RoutingEngine::score_candidates(
 
   // Small batches are not worth the dispatch; the serial path leases a
   // checkout slot like the convenience entry points, so it never aliases a
-  // fan-out worker's scratch even when called concurrently.
+  // fan-out worker's arena even when called concurrently.
   const bool fan_out = n >= 8 && (threads_ == 0 || threads_ > 1);
   if (!fan_out) {
     {
@@ -355,9 +336,8 @@ std::vector<double> RoutingEngine::score_candidates(
   util::ThreadPool& workers = pool();
   std::vector<RoutingCounters> worker_counters(workers.size());
   workers.parallel_for_workers(n, [&](std::size_t worker, std::size_t i) {
-    assert(worker < scratches_.size() && worker < arenas_.size());
-    ScoreContext ctx{scratches_[worker], worker_counters[worker],
-                     arenas_[worker]};
+    assert(worker < arenas_.size());
+    ScoreContext ctx{worker_counters[worker], arenas_[worker]};
     results[i] = score(i, ctx);
   });
   // Integer counters are summed, so the merge order cannot change totals.
@@ -373,11 +353,12 @@ std::optional<Assignment> RoutingEngine::route_all(
   Assignment assignment(*scenario_);
   SlotLease lease(*this);
   ScoreContext ctx = lease.context();
-  if (kernel_) kernel_->bind(ctx.arena, placement, next_bind_gen());
+  kernel_.bind(ctx.arena, placement, next_bind_gen());
   RouteResult routed;
   const auto& classes = scenario_->classes().classes();
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    const bool ok = class_route(static_cast<int>(c), placement, ctx, routed);
+    const bool ok = kernel_.class_route(static_cast<int>(c), ctx.arena,
+                                        ctx.counters.kernel, routed);
     ++ctx.counters.routes_computed;
     if (!ok) return std::nullopt;
     for (const int member : classes[c].members) {

@@ -10,12 +10,11 @@
 //     into every total — O(classes) DP runs instead of O(users). The
 //     differential harness's aggregation lane checks the collapse against a
 //     per-member ChainRouter oracle;
-//   - the SoA scoring kernel (DESIGN.md §4h): classes are scored through
-//     core/score_kernel.h by default — a lane-batched DP over contiguous
-//     float64 buffers that evaluates all first-layer conditionings at once,
-//     bit-identical to the legacy ChainRouter path (the differential kernel
-//     lane enforces this). use_kernel = false keeps the legacy path for
-//     differential checking and the bench_scale head-to-head;
+//   - the SoA scoring kernel (DESIGN.md §4h): every class is scored through
+//     core/score_kernel.h — a lane-batched DP over contiguous float64
+//     buffers that evaluates all first-layer conditionings at once. The
+//     literal ChainRouter DP is its oracle, not a second scoring path: the
+//     differential kernel lane checks the two bitwise;
 //   - a placement-epoch-keyed per-class route cache: refresh() brings every
 //     class's route up to date (re-routing only the classes the placement
 //     diff touches) and stamps an epoch; candidate scoring then reroutes only
@@ -24,8 +23,8 @@
 //     instance. refresh() also re-derives the class index (and re-syncs the
 //     kernel's SoA buffers) whenever the scenario's workload epoch moved, so
 //     a mutated workload can never be scored against a stale view;
-//   - per-worker scratch state (RouteScratch + kernel arenas) for the
-//     fan-out, plus a mutex-guarded checkout pool backing the convenience
+//   - per-worker kernel arenas for the fan-out, plus a mutex-guarded
+//     checkout pool of arenas backing the convenience
 //     entry points, so they are safe to call concurrently with a running
 //     score_candidates dispatch (the tsan job covers the scenario);
 //   - score_candidates(): a deterministic fan-out of independent candidate
@@ -84,7 +83,7 @@ struct RoutingCounters {
   std::int64_t cache_refreshes = 0;
   double refresh_seconds = 0.0;  ///< wall time inside refresh()
   double score_seconds = 0.0;    ///< wall time inside score_candidates()
-  /// SoA kernel counters (socl.kernel.*); all-zero in legacy mode.
+  /// SoA kernel counters (socl.kernel.*).
   KernelStats kernel;
 
   void merge(const RoutingCounters& other);
@@ -93,11 +92,9 @@ struct RoutingCounters {
 class RoutingEngine {
  public:
   /// `threads` sizes the shared pool (0 = hardware concurrency; 1 keeps
-  /// every fan-out on the calling thread);
-  /// `use_kernel` == false scores through the legacy ChainRouter DP instead
-  /// of the SoA kernel (results are bit-identical either way).
-  explicit RoutingEngine(const Scenario& scenario, int threads = 0,
-                         bool use_kernel = true);
+  /// every fan-out on the calling thread). Every class is scored through
+  /// the engine's SoA kernel.
+  explicit RoutingEngine(const Scenario& scenario, int threads = 0);
 
   // ---- Placement-epoch route cache ----
 
@@ -130,15 +127,13 @@ class RoutingEngine {
         scenario_->classes().class_of(user))];
   }
 
-  bool kernel_enabled() const { return kernel_ != nullptr; }
-  /// The SoA scoring kernel, or nullptr in legacy mode.
-  const ScoreKernel* kernel() const { return kernel_.get(); }
+  /// The SoA scoring kernel (its class view is synced by sync_workload()).
+  const ScoreKernel& kernel() const { return kernel_; }
 
-  // ---- Incremental exact objectives (cache + scratch) ----
+  // ---- Incremental exact objectives (cache + arena) ----
 
   /// Per-worker scoring context handed to score_candidates callbacks.
   struct ScoreContext {
-    RouteScratch& scratch;
     RoutingCounters& counters;
     ScoreKernel::Arena& arena;
   };
@@ -205,16 +200,13 @@ class RoutingEngine {
   void set_sink(obs::ObsSink* sink) { sink_ = sink; }
   obs::ObsSink* sink() const { return sink_; }
 
-  const ChainRouter& router() const { return router_; }
-
  private:
-  /// A checkout slot backing the no-context convenience entry points: a
-  /// scratch + arena leased under the mutex, with a local counter block
-  /// merged back on release. Concurrent conveniences each get their own
-  /// slot, so they never alias the fan-out workers' per-slot state (the
-  /// aliasing bug the tsan job guards against).
+  /// A checkout slot backing the no-context convenience entry points: an
+  /// arena leased under the mutex, with a local counter block merged back
+  /// on release. Concurrent conveniences each get their own slot, so they
+  /// never alias the fan-out workers' per-slot state (the aliasing bug the
+  /// tsan job guards against).
   struct SerialSlot {
-    RouteScratch scratch;
     ScoreKernel::Arena arena;
     bool in_use = false;
   };
@@ -224,7 +216,7 @@ class RoutingEngine {
     ~SlotLease();
     SlotLease(const SlotLease&) = delete;
     SlotLease& operator=(const SlotLease&) = delete;
-    ScoreContext context() { return {slot_->scratch, local_, slot_->arena}; }
+    ScoreContext context() { return {local_, slot_->arena}; }
 
    private:
     RoutingEngine* engine_;
@@ -239,19 +231,9 @@ class RoutingEngine {
   std::uint64_t next_bind_gen() const {
     return bind_gen_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Completion time of class c under `placement` — kernel or legacy
-  /// dispatch (the kernel arena must already be bound to `placement`).
-  double class_cost(int c, const Placement& placement,
-                    ScoreContext& ctx) const;
-  /// Optimal route/breakdown of class c — kernel or legacy dispatch.
-  bool class_route(int c, const Placement& placement, ScoreContext& ctx,
-                   RouteResult& out) const;
 
   const Scenario* scenario_;
-  ChainRouter router_;
-  /// SoA scoring kernel; nullptr in legacy mode (so legacy timings carry no
-  /// kernel build cost).
-  std::unique_ptr<ScoreKernel> kernel_;
+  ScoreKernel kernel_;
   int threads_;
   std::unique_ptr<util::ThreadPool> pool_;
 
@@ -275,9 +257,8 @@ class RoutingEngine {
   std::vector<int> to_route_;
   std::vector<std::uint8_t> route_mark_;
 
-  /// Fan-out worker-slot state (sized to the pool by pool()); the serial
+  /// Fan-out worker-slot arenas (sized to the pool by pool()); the serial
   /// paths lease SerialSlots instead, so the two can never alias.
-  std::vector<RouteScratch> scratches_;
   std::vector<ScoreKernel::Arena> arenas_;
   std::vector<std::unique_ptr<SerialSlot>> serial_slots_;
   /// Guards serial_slots_ checkout and counters_ merges.

@@ -38,8 +38,8 @@
 // `compute`, transition `(dp + transfer) + compute` with strict-< min
 // updates in the same candidate order, terminal `(d_in + dp) + d_out`
 // scanned lane-outer/candidate-inner. Costs, routes, and breakdowns are
-// therefore bit-identical to the legacy path, which the differential kernel
-// lane (tests/test_differential) and `bench_scale --check` enforce.
+// therefore bit-identical to ChainRouter, the kernel's oracle, which the
+// differential kernel lane (tests/test_differential) enforces.
 #pragma once
 
 #include <cstdint>

@@ -88,20 +88,17 @@ Solution SoCL::solve(const Scenario& scenario) const {
     sink->observe("socl.routing.refresh_s", routing.refresh_seconds);
     sink->observe("socl.routing.score_s", routing.score_seconds);
     const RoutingEngine& engine = combiner.engine();
-    sink->set_gauge("socl.kernel.enabled", engine.kernel_enabled() ? 1.0 : 0.0);
-    if (engine.kernel_enabled()) {
-      sink->add_counter("socl.kernel.costs", routing.kernel.costs);
-      sink->add_counter("socl.kernel.lanes", routing.kernel.lanes);
-      sink->add_counter("socl.kernel.memo_hits", routing.kernel.memo_hits);
-      sink->add_counter("socl.kernel.memo_misses", routing.kernel.memo_misses);
-      sink->add_counter("socl.kernel.rebuilds", routing.kernel.rebuilds);
-      sink->add_counter("socl.kernel.cost_memo_hits",
-                        routing.kernel.cost_memo_hits);
-      sink->set_gauge("socl.kernel.soa_bytes",
-                      static_cast<double>(engine.kernel()->soa_bytes()));
-      sink->set_gauge("socl.kernel.delay_tables",
-                      engine.kernel()->delay_tables_enabled() ? 1.0 : 0.0);
-    }
+    sink->add_counter("socl.kernel.costs", routing.kernel.costs);
+    sink->add_counter("socl.kernel.lanes", routing.kernel.lanes);
+    sink->add_counter("socl.kernel.memo_hits", routing.kernel.memo_hits);
+    sink->add_counter("socl.kernel.memo_misses", routing.kernel.memo_misses);
+    sink->add_counter("socl.kernel.rebuilds", routing.kernel.rebuilds);
+    sink->add_counter("socl.kernel.cost_memo_hits",
+                      routing.kernel.cost_memo_hits);
+    sink->set_gauge("socl.kernel.soa_bytes",
+                    static_cast<double>(engine.kernel().soa_bytes()));
+    sink->set_gauge("socl.kernel.delay_tables",
+                    engine.kernel().delay_tables_enabled() ? 1.0 : 0.0);
     const auto& classes = scenario.classes();
     sink->set_gauge("socl.scale.users",
                     static_cast<double>(classes.num_users()));

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/evaluator.h"
-#include "core/score_kernel.h"
 #include "net/failures.h"
 #include "obs/sink.h"
 #include "serverless/arrivals.h"
@@ -396,15 +395,16 @@ int ServingLoop::advance_workload() {
 
 bool ServingLoop::route_classes() {
   const workload::RequestClasses& classes = scenario_.classes();
-  const core::ChainRouter router(scenario_);
-  core::RouteScratch scratch;
+  if (!route_kernel_) route_kernel_.emplace(scenario_, 0);
+  route_kernel_->sync();
+  route_kernel_->bind(route_arena_, placement_);
+  core::KernelStats stats;
   core::RouteResult routed;
   assignment_ = core::Assignment(scenario_);
   latency_total_ = 0.0;
   for (int c = 0; c < classes.num_classes(); ++c) {
     const workload::RequestClass& cls = classes.cls(c);
-    if (!router.route_into(scenario_.request(cls.representative), placement_,
-                           scratch, routed)) {
+    if (!route_kernel_->class_route(c, route_arena_, stats, routed)) {
       return false;
     }
     latency_total_ += routed.total() * cls.weight;
@@ -567,24 +567,22 @@ void ServingLoop::settle_economics(SlotReport& report, SlotPlan& plan) {
 }
 
 void ServingLoop::cross_check(SlotReport& report) const {
-  // Re-route every class through the SoA kernel, an implementation
-  // independent of the live routing pass. Every user's assignment row must
-  // equal its class's kernel route, and the kernel's latency total must
-  // equal the live one bit for bit; the independent validator must then
-  // find no constraint violation. The kernel's delay tables are off
-  // (budget 0): one route per class never amortises them, and the
-  // on-the-fly divisions produce the same bits.
+  // Re-route every class representative through the reference chain DP
+  // (core::ChainRouter), an implementation independent of the live
+  // kernel pass. Every user's assignment row must equal its class's
+  // reference route, and the class-major latency total must equal the live
+  // one bit for bit; the independent validator must then find no
+  // constraint violation.
   const workload::RequestClasses& classes = scenario_.classes();
-  const core::ScoreKernel kernel(scenario_, 0);
-  core::ScoreKernel::Arena arena;
-  core::KernelStats stats;
+  const core::ChainRouter router(scenario_);
+  core::RouteScratch scratch;
   core::RouteResult routed;
-  kernel.bind(arena, placement_);
   double latency_total = 0.0;
   bool matches = true;
   for (int c = 0; c < classes.num_classes() && matches; ++c) {
     const workload::RequestClass& cls = classes.cls(c);
-    matches = kernel.class_route(c, arena, stats, routed);
+    matches = router.route_into(scenario_.request(cls.representative),
+                                placement_, scratch, routed);
     for (std::size_t i = 0; matches && i < cls.members.size(); ++i) {
       const auto row = assignment_.user_route(cls.members[i]);
       matches = std::equal(row.begin(), row.end(), routed.nodes.begin(),
@@ -596,7 +594,7 @@ void ServingLoop::cross_check(SlotReport& report) const {
   report.full_reroute_matches = matches;
   if (!matches) {
     throw std::logic_error(
-        "ServingLoop: assignment diverged from the kernel's class routes "
+        "ServingLoop: assignment diverged from the reference class routes "
         "(slot " +
         std::to_string(slot_) + ")");
   }

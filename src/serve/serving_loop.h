@@ -13,30 +13,32 @@
 // threshold; lost coverage falls through), or replan (slot one, the periodic
 // floor, a substrate change or a drift breach: the warm-start online
 // controller, or the sharded coordinator). Every rung routes each class once
-// with the reference chain DP (core::ChainRouter) — cheap next to ingesting
-// the workload (DESIGN.md §4i has the figures), and a pure function of tuple
-// and placement, so an unmoved class under a carried placement gets its old
-// route back bit for bit. The DES windows (one per metro when sharded) pay
-// real cold starts for churned instances unless the previous slot's Alg. 2
-// quota snapshot pre-warmed them.
+// through the loop's SoA scoring kernel (core::ScoreKernel) — cheap next to
+// ingesting the workload (DESIGN.md §4i has the figures), and a pure
+// function of tuple and placement, so an unmoved class under a carried
+// placement gets its old route back bit for bit. The DES windows (one per
+// metro when sharded) pay real cold starts for churned instances unless the
+// previous slot's Alg. 2 quota snapshot pre-warmed them.
 //
 // Determinism: every SlotReport field except the wall-clock control_s is a
 // pure function of (config, seed), across runs and thread counts. The
-// cross-check lane re-routes every class through the SoA scoring kernel
-// (core::ScoreKernel, independent of the live pass), requires routes and
-// the latency total to match bit for bit, and runs the constraint validator
+// cross-check lane re-routes every class through the reference chain DP
+// (core::ChainRouter, the kernel's oracle), requires routes and the latency
+// total to match bit for bit, and runs the constraint validator
 // (DESIGN.md §4f).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/online.h"
 #include "core/routing.h"
+#include "core/score_kernel.h"
 #include "net/multi_metro.h"
 #include "serve/chaos.h"
 #include "serverless/runtime.h"
@@ -261,7 +263,7 @@ class ServingLoop {
   /// Advances one slot: workload → placement decision → DES window.
   /// Throws std::runtime_error if the slot is unroutable even after a
   /// replan, and std::logic_error when the cross-check lane finds the
-  /// assignment diverging from the kernel's class routes.
+  /// assignment diverging from the reference (ChainRouter) class routes.
   SlotReport step();
 
   /// Runs the remaining slots up to config().slots.
@@ -356,6 +358,10 @@ class ServingLoop {
   std::uint64_t last_epoch_ = 0;
   core::Placement placement_;
   core::Placement previous_placement_;
+  /// The live routing pass's kernel, built by the first route_classes, and
+  /// its arena. No delay tables: one route per class never pays them.
+  std::optional<core::ScoreKernel> route_kernel_;
+  core::ScoreKernel::Arena route_arena_;
   bool have_previous_ = false;
   core::Assignment assignment_;
   /// Σ_c weight_c · D_c of assignment_ (the slot economics' latency term).

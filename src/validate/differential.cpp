@@ -1,12 +1,14 @@
 #include "validate/differential.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
 #include "core/evaluator.h"
 #include "core/routing_engine.h"
+#include "core/score_kernel.h"
 #include "ilp/exact_solver.h"
 #include "ilp/socl_ilp.h"
 #include "net/topology.h"
@@ -28,6 +30,11 @@ bool approx_le(double a, double b, double tol) {
 bool approx_eq(double a, double b, double tol) {
   if (std::isinf(a) || std::isinf(b)) return a == b;
   return std::abs(a - b) <= tol * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
+/// Bitwise equality (tells -0.0 from 0.0; NaN equals its own bits).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 int structural_violations(const Report& report) {
@@ -433,6 +440,121 @@ FuzzSummary run_differential_fuzz(const FuzzOptions& options) {
   return summary;
 }
 
+std::string kernel_oracle_mismatch(const core::Scenario& scenario,
+                                   const core::ScoreKernel& kernel,
+                                   const core::Placement& placement,
+                                   core::ScoreKernel::Arena& arena,
+                                   core::KernelStats& stats) {
+  const core::ChainRouter router(scenario);
+  core::RouteScratch scratch;
+  core::RouteResult kr;
+  core::RouteResult rr;
+  kernel.bind(arena, placement);
+  const auto& classes = scenario.classes().classes();
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const auto& request = scenario.request(classes[c].representative);
+    const int ci = static_cast<int>(c);
+    const double kc = kernel.class_cost(ci, arena, stats);
+    const double rc = router.route_cost(request, placement, scratch);
+    const bool kok = kernel.class_route(ci, arena, stats, kr);
+    const bool rok = router.route_into(request, placement, scratch, rr);
+    if (!same_bits(kc, rc) || kok != rok ||
+        (kok && (kr.nodes != rr.nodes || !same_bits(kr.d_in, rr.d_in) ||
+                 !same_bits(kr.compute, rr.compute) ||
+                 !same_bits(kr.transfer, rr.transfer) ||
+                 !same_bits(kr.d_out, rr.d_out)))) {
+      return "class " + std::to_string(c) + ": kernel cost " +
+             std::to_string(kc) + " vs ChainRouter " + std::to_string(rc) +
+             ", or the routability, route or breakdown";
+    }
+  }
+  return "";
+}
+
+ReferenceObjectives::ReferenceObjectives(const core::Scenario& scenario,
+                                         const core::Placement& cached)
+    : scenario_(&scenario), evaluator_(scenario) {
+  const int classes = scenario.classes().num_classes();
+  latency_.assign(static_cast<std::size_t>(classes), kInf);
+  routes_.resize(static_cast<std::size_t>(classes));
+  core::RouteResult route;
+  for (int c = 0; c < classes; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    if (evaluator_.router().route_into(request(c), cached, scratch_, route)) {
+      latency_[i] = route.total();
+      routes_[i] = route.nodes;
+    }
+    latency_sum_ += scenario.classes().cls(c).weight * latency_[i];
+  }
+}
+
+const workload::UserRequest& ReferenceObjectives::request(int c) const {
+  return scenario_->request(scenario_->classes().cls(c).representative);
+}
+
+double ReferenceObjectives::cost(int c,
+                                 const core::Placement& placement) const {
+  return evaluator_.router().route_cost(request(c), placement, scratch_);
+}
+
+template <typename Affected>
+double ReferenceObjectives::rescored(const core::Placement& trial,
+                                     Affected affected) const {
+  if (!std::isfinite(latency_sum_)) return kInf;
+  double latency = latency_sum_;
+  for (int c = 0; c < scenario_->classes().num_classes(); ++c) {
+    if (!affected(c)) continue;
+    const double d = cost(c, trial);
+    if (d == kInf) return kInf;
+    latency += scenario_->classes().cls(c).weight *
+               (d - latency_[static_cast<std::size_t>(c)]);
+  }
+  return evaluator_.combine(trial.deployment_cost(scenario_->catalog()),
+                            latency);
+}
+
+double ReferenceObjectives::full_objective(
+    const core::Placement& placement) const {
+  double latency = 0.0;
+  for (int c = 0; c < scenario_->classes().num_classes(); ++c) {
+    const double d = cost(c, placement);
+    if (d == kInf) return kInf;
+    latency += scenario_->classes().cls(c).weight * d;
+  }
+  return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
+                            latency);
+}
+
+double ReferenceObjectives::objective_with_change(
+    const core::Placement& trial, workload::MsId changed) const {
+  return rescored(trial, [&](int c) {
+    return std::ranges::find(request(c).chain, changed) !=
+           request(c).chain.end();
+  });
+}
+
+double ReferenceObjectives::objective_without(
+    workload::MsId m, net::NodeId k, const core::Placement& trial) const {
+  // A class is re-scored iff it was unroutable or its cached route sends
+  // some occurrence of m to k; every other class keeps its cached latency.
+  return rescored(trial, [&](int c) {
+    const auto& chain = request(c).chain;
+    const auto& route = routes_[static_cast<std::size_t>(c)];
+    for (std::size_t pos = 0; pos < chain.size(); ++pos) {
+      if (chain[pos] == m && (route.empty() || route[pos] == k)) return true;
+    }
+    return false;
+  });
+}
+
+bool ReferenceObjectives::any_deadline_violation(
+    const core::Placement& placement) const {
+  for (int c = 0; c < scenario_->classes().num_classes(); ++c) {
+    if (cost(c, placement) > request(c).deadline + 1e-9) return true;
+  }
+  return false;
+}
+
 CaseResult run_kernel_differential_case(std::uint64_t seed,
                                         const FuzzOptions& options) {
   FuzzCase fuzz_case = make_fuzz_case(seed);
@@ -450,99 +572,82 @@ CaseResult run_kernel_differential_case(std::uint64_t seed,
     result.diagnosis += message;
   };
 
-  // --- Solver leg: one full SoCL solve per scoring path. The kernel is a
-  // drop-in replacement for the legacy DP, so everything downstream of the
-  // scores — placement, evaluation, assignment, and the scoring-path-
-  // independent counters — must be IDENTICAL, bit-for-bit.
-  core::SoCLParams legacy_params;
-  legacy_params.combination.use_score_kernel = false;
-  const core::Solution by_kernel = core::SoCL().solve(scenario);
-  const core::Solution by_legacy = core::SoCL(legacy_params).solve(scenario);
-  result.heuristic_objective = by_kernel.evaluation.objective;
-  if (!(by_kernel.placement == by_legacy.placement)) {
-    fail("kernel and legacy solves diverged in placement");
-  }
-  const core::Evaluation& ek = by_kernel.evaluation;
-  const core::Evaluation& el = by_legacy.evaluation;
-  if (ek.objective != el.objective || ek.total_latency != el.total_latency ||
-      ek.deployment_cost != el.deployment_cost ||
-      ek.max_latency != el.max_latency ||
-      ek.deadline_violations != el.deadline_violations ||
-      ek.routable != el.routable) {
-    fail("kernel objective " + std::to_string(ek.objective) +
-         " not bit-identical to legacy " + std::to_string(el.objective));
-  }
-  if (by_kernel.assignment.has_value() != by_legacy.assignment.has_value()) {
-    fail("kernel and legacy solves diverged in routability");
-  }
-  if (by_kernel.assignment.has_value() && by_legacy.assignment.has_value()) {
-    for (int h = 0; h < scenario.num_users(); ++h) {
-      if (!std::ranges::equal(by_kernel.assignment->user_route(h),
-                              by_legacy.assignment->user_route(h))) {
-        fail("assignment for user " + std::to_string(h) +
-             " differs between kernel and legacy solves");
-        break;
+  // --- Solver leg: one SoCL solve through the kernel, then every class of
+  // the solved placement and of seeded random placements scored by the
+  // kernel (delay tables on, as the engine runs it, and off, as the serving
+  // loop runs it) against its ChainRouter oracle. Arenas persist across
+  // placements, so bind invalidation and the class-cost memo are exercised.
+  const core::Solution solved = core::SoCL().solve(scenario);
+  result.heuristic_objective = solved.evaluation.objective;
+  const core::ScoreKernel kernels[2] = {core::ScoreKernel(scenario),
+                                        core::ScoreKernel(scenario, 0)};
+  core::ScoreKernel::Arena arenas[2];
+  core::KernelStats stats;
+  const auto compare_classes = [&](const core::Placement& placement,
+                                   const std::string& when) {
+    for (int t = 0; t < 2; ++t) {
+      const std::string mismatch = kernel_oracle_mismatch(
+          scenario, kernels[t], placement, arenas[t], stats);
+      if (!mismatch.empty()) {
+        fail(when + (t == 0 ? " (delay tables): " : ": ") + mismatch);
       }
     }
-  }
-  // The counters below count scoring EVENTS, not scoring mechanics, so they
-  // are a pure function of the solver's decision sequence — any drift means
-  // the two paths disagreed somewhere even if the final objective matched.
-  const core::RoutingCounters& ck = by_kernel.combination_stats.routing;
-  const core::RoutingCounters& cl = by_legacy.combination_stats.routing;
-  if (ck.routes_computed != cl.routes_computed ||
-      ck.cache_hits != cl.cache_hits ||
-      ck.reroutes_avoided != cl.reroutes_avoided ||
-      ck.candidates_scored != cl.candidates_scored ||
-      ck.cache_refreshes != cl.cache_refreshes) {
-    fail("routing counters diverged: kernel routed " +
-         std::to_string(ck.routes_computed) + ", legacy " +
-         std::to_string(cl.routes_computed));
+  };
+  compare_classes(solved.placement, "solved placement");
+  // Random placements, densest last; every other one also drops one
+  // service entirely, so the classes that request it are unroutable.
+  constexpr int kRandomPlacements = 6;
+  util::Rng rng(seed ^ 0x5c0e4e7e1a4eULL);
+  for (int i = 0; i < kRandomPlacements; ++i) {
+    core::Placement placement(scenario);
+    const double density = (i + 1.0) / kRandomPlacements;
+    const auto dropped = i % 2 == 0 ? rng.uniform_int(
+                                          0, scenario.num_microservices() - 1)
+                                    : -1;
+    for (workload::MsId m = 0; m < scenario.num_microservices(); ++m) {
+      for (net::NodeId k = 0; k < scenario.num_nodes(); ++k) {
+        if (m != dropped && rng.bernoulli(density)) placement.deploy(m, k);
+      }
+    }
+    compare_classes(placement, "random placement " + std::to_string(i));
   }
 
-  // --- Engine leg: compare the scoring surface directly on a dense
-  // placement (every node hosts every service — the widest layers, and
-  // routable whenever anything is), then mutate the workload by truncating
-  // every multi-hop chain and compare again. The mutation shrinks layer
-  // counts and lane widths underneath warmed arenas/scratches, so a stale
-  // SoA tail or dp buffer on either path shows up as a bitwise mismatch.
+  // --- Engine leg: compare the scoring surface with ReferenceObjectives on
+  // a dense placement (every node hosts every service — the widest layers,
+  // and routable whenever anything is), then mutate the workload by
+  // truncating every multi-hop chain and compare again. The mutation
+  // shrinks layer counts and lane widths underneath warmed arenas, so a
+  // stale SoA tail or dp buffer shows up as a bitwise mismatch.
   core::Placement dense(scenario);
   for (workload::MsId m = 0; m < scenario.num_microservices(); ++m) {
     for (net::NodeId k = 0; k < scenario.num_nodes(); ++k) dense.deploy(m, k);
   }
-  core::RoutingEngine kernel_engine(scenario, 1, true);
-  core::RoutingEngine legacy_engine(scenario, 1, false);
-  const auto compare_engines = [&](const char* when) {
-    kernel_engine.refresh(dense);
-    legacy_engine.refresh(dense);
-    if (kernel_engine.cached_latency_sum() !=
-        legacy_engine.cached_latency_sum()) {
-      fail(std::string(when) + ": cached latency sum diverged: kernel " +
-           std::to_string(kernel_engine.cached_latency_sum()) + " vs legacy " +
-           std::to_string(legacy_engine.cached_latency_sum()));
-    }
-    const double fk = kernel_engine.full_objective(dense);
-    const double fl = legacy_engine.full_objective(dense);
-    if (fk != fl) {
-      fail(std::string(when) + ": full objective diverged: kernel " +
-           std::to_string(fk) + " vs legacy " + std::to_string(fl));
-    }
+  core::RoutingEngine engine(scenario, 1);
+  const auto compare_engine = [&](const std::string& when) {
+    engine.refresh(dense);
+    const ReferenceObjectives reference(scenario, dense);
+    const auto same = [&](const std::string& what, double kernel,
+                          double oracle) {
+      if (same_bits(kernel, oracle)) return true;
+      fail(when + ": " + what + " diverged: kernel " +
+           std::to_string(kernel) + " vs reference " + std::to_string(oracle));
+      return false;
+    };
+    same("cached latency sum", engine.cached_latency_sum(),
+         reference.latency_sum());
+    same("full objective", engine.full_objective(dense),
+         reference.full_objective(dense));
     for (workload::MsId m = 0; m < scenario.num_microservices(); ++m) {
-      const double ok = kernel_engine.objective_with_change(dense, m);
-      const double ol = legacy_engine.objective_with_change(dense, m);
-      if (ok != ol) {
-        fail(std::string(when) + ": rescore of service " + std::to_string(m) +
-             " diverged: kernel " + std::to_string(ok) + " vs legacy " +
-             std::to_string(ol));
+      if (!same("rescore of service " + std::to_string(m),
+                engine.objective_with_change(dense, m),
+                reference.objective_with_change(dense, m))) {
         break;
       }
     }
-    if (kernel_engine.any_deadline_violation(dense) !=
-        legacy_engine.any_deadline_violation(dense)) {
-      fail(std::string(when) + ": deadline verdict diverged");
-    }
+    same("deadline verdict", engine.any_deadline_violation(dense),
+         reference.any_deadline_violation(dense));
   };
-  compare_engines("dense");
+  compare_engine("dense");
 
   std::vector<workload::UserRequest> shrunk = scenario.requests();
   bool mutated = false;
@@ -555,7 +660,7 @@ CaseResult run_kernel_differential_case(std::uint64_t seed,
   }
   if (mutated) {
     scenario.set_requests(std::move(shrunk));
-    compare_engines("after chain shrink");
+    compare_engine("after chain shrink");
   }
   return result;
 }

@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "core/evaluator.h"
+#include "core/score_kernel.h"
 #include "validate/validator.h"
 
 namespace socl::validate {
@@ -97,14 +99,60 @@ struct FuzzSummary {
 /// Runs seeds base_seed .. base_seed + cases - 1.
 FuzzSummary run_differential_fuzz(const FuzzOptions& options);
 
-/// Kernel lane (DESIGN.md §4h): solves the seed's instance once through the
-/// SoA scoring kernel and once through the legacy ChainRouter path and
-/// requires bit-identical placements, evaluation fields, assignments, and
-/// shared routing-counter totals; then stresses the engines directly —
-/// dense-placement refresh/full-objective/per-service rescore comparisons,
-/// followed by a chain-shrinking set_requests mutation (stale SoA and
-/// scratch tails) and a re-comparison. Everything is compared bitwise, not
-/// within tolerance.
+/// The first request class whose ScoreKernel class_cost, routability,
+/// class_route nodes or {d_in, compute, transfer, d_out} breakdown under
+/// `placement` differs bitwise from ChainRouter's route_cost / route_into
+/// on its representative, as a one-line diagnosis; "" when every class
+/// agrees. Binds `arena` to `placement`; kernel work counts into `stats`.
+std::string kernel_oracle_mismatch(const core::Scenario& scenario,
+                                   const core::ScoreKernel& kernel,
+                                   const core::Placement& placement,
+                                   core::ScoreKernel::Arena& arena,
+                                   core::KernelStats& stats);
+
+/// RoutingEngine's objectives recomputed through core::ChainRouter in the
+/// engine's class and summation order, so an engine refreshed to `cached`
+/// must match them bit for bit. The constructor plays refresh(cached).
+class ReferenceObjectives {
+ public:
+  ReferenceObjectives(const core::Scenario& scenario,
+                      const core::Placement& cached);
+
+  /// refresh()'s Σ_c weight_c · D_c (+inf when some class is unroutable).
+  double latency_sum() const { return latency_sum_; }
+  double full_objective(const core::Placement& placement) const;
+  /// `trial` differs from the cached placement only in service `changed`.
+  double objective_with_change(const core::Placement& trial,
+                               workload::MsId changed) const;
+  /// `trial` is the cached placement minus the instance (m, k).
+  double objective_without(workload::MsId m, net::NodeId k,
+                           const core::Placement& trial) const;
+  bool any_deadline_violation(const core::Placement& placement) const;
+
+ private:
+  /// Class c's representative, and its route_cost under `placement`.
+  const workload::UserRequest& request(int c) const;
+  double cost(int c, const core::Placement& placement) const;
+  /// cached latency sum + weight · (cost − cached) over `affected` classes
+  /// in ascending order; +inf as soon as one is unroutable.
+  template <typename Affected>
+  double rescored(const core::Placement& trial, Affected affected) const;
+
+  const core::Scenario* scenario_;
+  core::Evaluator evaluator_;
+  mutable core::RouteScratch scratch_;
+  std::vector<double> latency_;  ///< per class: route total, +inf unroutable
+  std::vector<std::vector<net::NodeId>> routes_;
+  double latency_sum_ = 0.0;
+};
+
+/// Kernel lane (DESIGN.md §4h): solves the seed's instance once, then runs
+/// kernel_oracle_mismatch (delay tables on and off) on the solved placement
+/// and on seeded random placements, some leaving a class unroutable. It
+/// then compares the routing engine with ReferenceObjectives on a dense
+/// placement (refresh, full objective, per-service rescore, deadline
+/// verdict), before and after a chain-shrinking set_requests mutation
+/// (stale SoA and arena tails). Everything is compared bitwise.
 CaseResult run_kernel_differential_case(std::uint64_t seed,
                                         const FuzzOptions& options);
 

@@ -327,26 +327,6 @@ TEST(CombinerEstimateCache, EveryMoveScoresBitwiseLikeFullEstimate) {
   }
 }
 
-TEST(CombinerEstimateCache, LegacyScoringEstimatesFromItsOwnClassView) {
-  // Without the SoA kernel the combiner builds a table-less kernel for the
-  // class view alone; its estimates must be the kernel-mode bits.
-  const auto& fx = estimate_fixture();
-  CombinationConfig legacy;
-  legacy.use_score_kernel = false;
-  const Combiner with_kernel(fx.scenario, fx.partitioning, {});
-  const Combiner without(fx.scenario, fx.partitioning, legacy);
-  ASSERT_FALSE(without.engine().kernel_enabled());
-  Placement placement = fx.pre.placement;
-  with_kernel.descend_to_budget(placement);
-  EXPECT_EQ(bits(without.refresh_estimate_cache(placement)),
-            bits(with_kernel.estimated_objective(placement)));
-  EXPECT_EQ(without.violates_deadline(placement),
-            with_kernel.violates_deadline(placement));
-  Placement legacy_descent = fx.pre.placement;
-  without.descend_to_budget(legacy_descent);
-  EXPECT_EQ(legacy_descent, placement);
-}
-
 // Two request classes on three nodes; the first chain visits microservice 0
 // twice, so one move reconnects two of its positions at once.
 Scenario make_revisit_scenario() {

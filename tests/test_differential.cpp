@@ -33,11 +33,13 @@ TEST(DifferentialFuzz, SeededScenariosAgreeAcrossSolvers) {
   EXPECT_LT(summary.exact_skipped, summary.cases_run) << summary.summary();
 }
 
-// The kernel lane (DESIGN.md §4h): every seeded instance solved through the
-// SoA scoring kernel must be bit-identical — placement, evaluation,
-// assignment, counters — to the legacy ChainRouter path, including after a
-// chain-shrinking workload mutation against warmed arenas.
-TEST(DifferentialFuzz, KernelLaneBitIdenticalToLegacy) {
+// The kernel lane (DESIGN.md §4h): on every seeded instance the SoA
+// scoring kernel's class costs, routes and breakdowns — on the solved
+// placement and on random ones, unroutable classes included — and the
+// kernel-scored engine's objectives must be bit-identical to their
+// ChainRouter oracle, including after a chain-shrinking workload mutation
+// against warmed arenas.
+TEST(DifferentialFuzz, KernelLaneBitIdenticalToChainRouter) {
   FuzzOptions options;
   options.cases = fuzz_cases_from_env(200);
   const FuzzSummary summary = run_kernel_differential_fuzz(options);

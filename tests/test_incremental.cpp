@@ -167,8 +167,7 @@ TEST(Incremental, RepeatedChainRemovalDetectsLaterOccurrence) {
   // would produce a different objective than the full evaluation.
   RouteScratch scratch;
   const double rerouted =
-      combiner.engine().router().route_cost(scenario.request(0), trial,
-                                            scratch);
+      ChainRouter(scenario).route_cost(scenario.request(0), trial, scratch);
   ASSERT_GT(rerouted, combiner.engine().cached_latency(0) + 1e-9);
 
   const double incremental = combiner.engine().objective_without(0, 2, trial);

@@ -19,6 +19,7 @@
 #include "core/routing_engine.h"
 #include "core/socl.h"
 #include "net/failures.h"
+#include "validate/differential.h"
 
 // ---- Global allocation counter (whole-executable operator new override) ----
 // Each test target is its own executable, so replacing the global operator
@@ -73,41 +74,16 @@ struct Fixture {
         pre(preprovision(scenario, partitioning)) {}
 };
 
-/// Asserts kernel class_cost/class_route bitwise against the legacy
-/// ChainRouter on every request class under `placement`.
-void expect_kernel_matches_legacy(const Scenario& scenario,
+/// Asserts kernel class_cost/class_route bitwise against the ChainRouter
+/// oracle on every request class under `placement`.
+void expect_kernel_matches_router(const Scenario& scenario,
                                   const ScoreKernel& kernel,
                                   const Placement& placement,
                                   ScoreKernel::Arena& arena) {
-  const ChainRouter router(scenario);
-  RouteScratch scratch;
   KernelStats stats;
-  kernel.bind(arena, placement);
-  const auto& classes = scenario.classes().classes();
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const auto& request = scenario.request(classes[c].representative);
-    const double legacy_cost = router.route_cost(request, placement, scratch);
-    const double kernel_cost =
-        kernel.class_cost(static_cast<int>(c), arena, stats);
-    EXPECT_EQ(kernel_cost, legacy_cost) << "class " << c;  // bit-identical
-
-    const auto legacy_route = router.route(request, placement, scratch);
-    RouteResult kernel_route;
-    const bool routable =
-        kernel.class_route(static_cast<int>(c), arena, stats, kernel_route);
-    ASSERT_EQ(routable, legacy_route.has_value()) << "class " << c;
-    if (!routable) {
-      EXPECT_TRUE(std::isinf(kernel_cost));
-      continue;
-    }
-    EXPECT_EQ(kernel_route.nodes, legacy_route->nodes) << "class " << c;
-    // The breakdown recompute runs the exact legacy expressions, so every
-    // term — not just the sum — must match bitwise.
-    EXPECT_EQ(kernel_route.d_in, legacy_route->d_in) << "class " << c;
-    EXPECT_EQ(kernel_route.compute, legacy_route->compute) << "class " << c;
-    EXPECT_EQ(kernel_route.transfer, legacy_route->transfer) << "class " << c;
-    EXPECT_EQ(kernel_route.d_out, legacy_route->d_out) << "class " << c;
-  }
+  EXPECT_EQ(validate::kernel_oracle_mismatch(scenario, kernel, placement,
+                                             arena, stats),
+            "");
   EXPECT_GT(stats.costs, 0);
   EXPECT_GT(stats.lanes, 0);
 }
@@ -118,7 +94,7 @@ TEST(ScoreKernel, CostsAndRoutesBitIdenticalToLegacy) {
     ScoreKernel kernel(fx.scenario);
     EXPECT_TRUE(kernel.delay_tables_enabled());
     ScoreKernel::Arena arena;
-    expect_kernel_matches_legacy(fx.scenario, kernel, fx.pre.placement, arena);
+    expect_kernel_matches_router(fx.scenario, kernel, fx.pre.placement, arena);
   }
 }
 
@@ -131,7 +107,7 @@ TEST(ScoreKernel, TableFallbackIsBitIdenticalToo) {
   ASSERT_TRUE(tabled.delay_tables_enabled());
   ASSERT_FALSE(untabled.delay_tables_enabled());
   ScoreKernel::Arena arena;
-  expect_kernel_matches_legacy(fx.scenario, untabled, fx.pre.placement, arena);
+  expect_kernel_matches_router(fx.scenario, untabled, fx.pre.placement, arena);
 
   ScoreKernel::Arena arena_a;
   ScoreKernel::Arena arena_b;
@@ -156,9 +132,9 @@ TEST(ScoreKernel, SparsePlacementsAndUnroutableClasses) {
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
     lone.deploy(m, 0);
   }
-  expect_kernel_matches_legacy(fx.scenario, kernel, lone, arena);
+  expect_kernel_matches_router(fx.scenario, kernel, lone, arena);
   lone.remove(0, 0);
-  expect_kernel_matches_legacy(fx.scenario, kernel, lone, arena);
+  expect_kernel_matches_router(fx.scenario, kernel, lone, arena);
 }
 
 // Workload mutation must not let the kernel score against stale SoA tails:
@@ -170,7 +146,7 @@ TEST(ScoreKernel, SyncAfterChainShrinkMatchesFreshKernel) {
   Fixture fx(33);
   ScoreKernel survivor(fx.scenario);
   ScoreKernel::Arena arena;
-  expect_kernel_matches_legacy(fx.scenario, survivor, fx.pre.placement, arena);
+  expect_kernel_matches_router(fx.scenario, survivor, fx.pre.placement, arena);
 
   auto shrunk = fx.scenario.requests();
   bool mutated = false;
@@ -186,7 +162,7 @@ TEST(ScoreKernel, SyncAfterChainShrinkMatchesFreshKernel) {
   ASSERT_TRUE(survivor.sync());
   ASSERT_FALSE(survivor.sync()) << "second sync at the same epoch must no-op";
 
-  expect_kernel_matches_legacy(fx.scenario, survivor, fx.pre.placement, arena);
+  expect_kernel_matches_router(fx.scenario, survivor, fx.pre.placement, arena);
   ScoreKernel fresh(fx.scenario);
   ScoreKernel::Arena fresh_arena;
   KernelStats stats;
@@ -223,9 +199,9 @@ TEST(ScoreKernel, SyncAfterNodeFailureRefreshesComputeRates) {
   ASSERT_TRUE(untabled.sync());
 
   ScoreKernel::Arena arena;
-  expect_kernel_matches_legacy(fx.scenario, tabled, everywhere, arena);
+  expect_kernel_matches_router(fx.scenario, tabled, everywhere, arena);
   ScoreKernel::Arena untabled_arena;
-  expect_kernel_matches_legacy(fx.scenario, untabled, everywhere,
+  expect_kernel_matches_router(fx.scenario, untabled, everywhere,
                                untabled_arena);
 }
 
@@ -249,7 +225,7 @@ TEST(ScoreKernel, RepeatedMicroserviceChains) {
   }
   EXPECT_GT(stats.memo_hits, 0)
       << "repeated services should re-use gathered candidate lists";
-  expect_kernel_matches_legacy(fx.scenario, kernel, fx.pre.placement, arena);
+  expect_kernel_matches_router(fx.scenario, kernel, fx.pre.placement, arena);
 }
 
 // The class-cost memo must be invisible: one long-lived arena scores random
@@ -375,38 +351,34 @@ TEST(ScoreKernel, SteadyStateScoringIsAllocationFree) {
       << "steady-state kernel scoring must not allocate";
 }
 
-// Engine-level guard: a kernel engine and a legacy engine must agree
-// bitwise on refresh sums, full objectives, and incremental rescoring (the
-// per-seed sweep of this lives in the differential harness; this is the
-// deterministic in-tree smoke).
-TEST(ScoreKernel, EngineDispatchMatchesLegacyEngine) {
+// Engine-level guard: the engine must agree bitwise with its ChainRouter
+// reference on refresh sums, objectives and the deadline verdict (the
+// per-seed sweep lives in the differential harness's kernel lane).
+TEST(ScoreKernel, EngineMatchesChainRouterReference) {
   Fixture fx(36);
-  RoutingEngine with_kernel(fx.scenario, 1, /*use_kernel=*/true);
-  RoutingEngine legacy(fx.scenario, 1, /*use_kernel=*/false);
-  ASSERT_TRUE(with_kernel.kernel_enabled());
-  ASSERT_FALSE(legacy.kernel_enabled());
-  with_kernel.refresh(fx.pre.placement);
-  legacy.refresh(fx.pre.placement);
-  EXPECT_EQ(with_kernel.cached_latency_sum(), legacy.cached_latency_sum());
-  EXPECT_EQ(with_kernel.full_objective(fx.pre.placement),
-            legacy.full_objective(fx.pre.placement));
+  RoutingEngine engine(fx.scenario, 1);
+  engine.refresh(fx.pre.placement);
+  const validate::ReferenceObjectives reference(fx.scenario,
+                                                fx.pre.placement);
+  EXPECT_EQ(engine.cached_latency_sum(), reference.latency_sum());
+  EXPECT_EQ(engine.full_objective(fx.pre.placement),
+            reference.full_objective(fx.pre.placement));
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
     if (fx.pre.placement.instance_count(m) <= 1) continue;
     for (const NodeId k : fx.pre.placement.nodes_of(m)) {
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
-      EXPECT_EQ(with_kernel.objective_without(m, k, trial),
-                legacy.objective_without(m, k, trial))
+      EXPECT_EQ(engine.objective_without(m, k, trial),
+                reference.objective_without(m, k, trial))
           << "m=" << m << " k=" << k;
-      EXPECT_EQ(with_kernel.objective_with_change(trial, m),
-                legacy.objective_with_change(trial, m))
+      EXPECT_EQ(engine.objective_with_change(trial, m),
+                reference.objective_with_change(trial, m))
           << "m=" << m << " k=" << k;
     }
   }
-  EXPECT_EQ(with_kernel.any_deadline_violation(fx.pre.placement),
-            legacy.any_deadline_violation(fx.pre.placement));
-  EXPECT_GT(with_kernel.counters().kernel.costs, 0);
-  EXPECT_EQ(legacy.counters().kernel.costs, 0);
+  EXPECT_EQ(engine.any_deadline_violation(fx.pre.placement),
+            reference.any_deadline_violation(fx.pre.placement));
+  EXPECT_GT(engine.counters().kernel.costs, 0);
 }
 
 }  // namespace
