@@ -10,11 +10,11 @@
 // placement instead of re-solving.
 //
 // Part 2 is the sharded head-to-head: the same multi-metro day —
-// cross-metro commuters re-homing between shards — served once through the
-// single-address-space OnlineSoCL replan rung and once through the
-// geo-sharded coordinator (shard::ShardedSoCL::step, per-metro warm rungs at
-// the frozen budget price), with the cross-check lane on. The headline is
-// the mean per-slot control latency ratio; `--check` gates the structural
+// cross-metro commuters re-homing between shards — served once on the
+// replan coordinator's single-shard plan (one warm rung on the whole
+// substrate) and once on its per-metro plan (warm rungs at the frozen budget
+// price), with the cross-check lane on. The headline is the mean per-slot
+// control latency ratio; `--check` gates the structural
 // claims instead: zero validator violations and a clean kernel re-route match
 // on every sharded slot, and a 1-metro sharded day whose CSV is
 // byte-identical to the unsharded loop's.
@@ -97,8 +97,8 @@ serve::ServingConfig compact_day_config() {
 }
 
 /// The identity lane: a compact 1-metro day served unsharded and sharded
-/// must produce byte-identical CSVs (the trivial plan short-circuits at
-/// μ = 0 and the warm rung is the legacy OnlineSoCL).
+/// must produce byte-identical CSVs (both plans are the one shard aliasing
+/// the loop's scenario, which short-circuits at μ = 0).
 bool identity_lane() {
   serve::ServingConfig base = compact_day_config();
   base.metros = 1;
@@ -181,7 +181,7 @@ int run(bool check) {
                 std::to_string(metros) +
                     " metros, cross-metro commuters, population " +
                     std::to_string(config.population) +
-                    " users; replan rung: OnlineSoCL vs ShardedSoCL::step");
+                    " users; replan plan: single shard vs one per metro");
 
   const serve::ServingConfig unsharded_config = metro_config(tiny, metros);
   serve::ServingConfig sharded_config = unsharded_config;

@@ -58,8 +58,8 @@ struct CliOptions {
   double drift_prob = 0.02;
   double slot_horizon_s = 30.0;
   std::string serve_csv;  // per-slot series path ("" = off)
-  // Multi-metro serving: --nodes becomes nodes *per metro*; --sharded routes
-  // replan slots through the geo-sharded coordinator (shard::ShardedSoCL).
+  // Multi-metro serving: --nodes becomes nodes *per metro*; --sharded gives
+  // the replan coordinator (shard::ShardedSoCL) one shard per metro.
   int metros = 0;
   bool sharded = false;
   double cross_metro_prob = 0.0;
@@ -98,8 +98,8 @@ serving mode (DESIGN.md §4i):
                      (--validate turns on the full-reroute cross-check lane)
   --metros N         serve on a stitched multi-metro substrate of N metros
                      (--nodes then counts edge servers *per metro*)
-  --sharded          route replan slots through the geo-sharded coordinator
-                     (one shard per metro; requires --metros)
+  --sharded          plan replan slots with one coordinator shard per
+                     metro instead of one shard (requires --metros)
   --cross-metro X    per-user per-slot probability of re-homing to another
                      metro (requires --metros >= 2)
   --chaos            inject node/link failures, repairs, and flash crowds
@@ -456,7 +456,7 @@ int main(int argc, char** argv) {
         const auto nodes = solution.placement.nodes_of(m);
         if (nodes.empty()) continue;
         std::string where;
-        for (const auto k : nodes) where += "v" + std::to_string(k) + " ";
+        for (const auto k : nodes) where += 'v' + std::to_string(k) + ' ';
         table.row()
             .cell(catalog.microservice(m).name)
             .integer(solution.placement.instance_count(m))

@@ -74,8 +74,6 @@ class OnlineSoCL {
     slot_ = slots_taken;
   }
 
-  const OnlineParams& params() const { return params_; }
-
  private:
   OnlineParams params_;
   std::optional<Placement> previous_;

@@ -228,7 +228,6 @@ ServingLoop::ServingLoop(ServingConfig config)
       mobility_rng_(config_.seed ^ 0x6d0b111e57a75ULL),
       drift_rng_(config_.seed ^ 0xd21f7a57e5ULL),
       cross_metro_rng_(config_.seed ^ 0xc2055e7a11edULL),
-      online_(config_.online),
       placement_(scenario_),
       previous_placement_(scenario_),
       assignment_(scenario_) {
@@ -249,7 +248,7 @@ ServingLoop::ServingLoop(ServingConfig config)
         workload::replicate_requests(templates_, config_.population));
   }
 
-  if (config_.sharded) rebuild_sharded();
+  rebuild_sharded();
 
   // The mobility model keeps the request generator's hotspot bias.
   util::Rng weight_rng(config_.seed ^ 0xabcdULL);
@@ -310,19 +309,19 @@ ServingLoop::ServingLoop(ServingConfig config)
 }
 
 void ServingLoop::rebuild_sharded() {
-  // One shard per metro, coordinated through the global Eq. 5 budget.
-  // The per-shard solver and warm-rung parameters mirror the legacy
-  // OnlineSoCL configuration exactly, so the one-metro sharded day is
-  // the unsharded day run through the shard machinery. A freshly built
-  // coordinator's first step runs an implicit full solve with
-  // repriced = true — the re-price the chaos lane requires on every
-  // substrate change.
+  // Sharded, one shard per metro, coordinated through the global Eq. 5
+  // budget; otherwise one shard aliasing scenario_. A fresh coordinator's
+  // first step runs an implicit full solve with repriced = true — the
+  // re-price the chaos lane requires on a sharded substrate change.
   shard::ShardedParams sp = config_.shard;
   sp.solver = config_.online.socl;
   sp.online = config_.online;
   sp.sink = config_.sink;
   sharded_ = std::make_unique<shard::ShardedSoCL>(
-      scenario_, shard::plan_from_metros(metro_of_, config_.metros), sp);
+      scenario_,
+      config_.sharded ? shard::plan_from_metros(metro_of_, config_.metros)
+                      : shard::single_shard_plan(scenario_),
+      sp);
 }
 
 double ServingLoop::slot_intensity(int slot) const {
@@ -465,10 +464,10 @@ void ServingLoop::ingest_chaos(SlotReport& report, SlotPlan& plan) {
                             : net::apply_failures(*healthy_network_,
                                                   chaos_slot.plan));
   report.substrate_changed = true;
-  // The sharded coordinator priced its shards on the old substrate; a fresh
-  // one re-prices globally (a backhaul cut isolates a metro, whose budget
-  // share must be re-negotiated).
-  if (sharded_ != nullptr) rebuild_sharded();
+  // The per-metro coordinator priced its shards on the old substrate; a
+  // fresh one re-prices globally (a backhaul cut isolates a metro). The
+  // single-shard coordinator's alias sees the swap as a moved workload.
+  if (config_.sharded) rebuild_sharded();
 }
 
 void ServingLoop::diff_classes(SlotReport& report, SlotPlan& plan) {
@@ -524,21 +523,15 @@ void ServingLoop::choose_rung(SlotReport& report, SlotPlan& plan) {
 }
 
 void ServingLoop::replan(SlotReport& report, bool periodic) {
-  if (sharded_ != nullptr) {
-    // Only shards whose sub-workload (or membership) moved re-run their
-    // warm rung at the frozen budget price; a global re-price happens only
-    // on budget drift or breach, and periodic replans force every rung. Only
-    // the merged *placement* is adopted: the global routing below may cross
-    // the backhaul when that wins (with one metro, per-shard routes equal
-    // global routes, so the unsharded day is reproduced bit for bit).
-    shard::ShardedSoCL::StepReport shard_step =
-        sharded_->step(scenario_.requests(), periodic);
+  // Only shards whose workload moved re-run their warm rung (periodic
+  // replans force every rung). Only the merged *placement* is adopted: the
+  // global routing below may cross the backhaul when that wins.
+  shard::ShardedSoCL::StepReport shard_step = sharded_->step(periodic);
+  if (config_.sharded) {
     report.shards_resolved = shard_step.shards_resolved;
     report.repriced = shard_step.repriced;
-    placement_ = std::move(shard_step.solution.placement);
-  } else {
-    placement_ = online_.step(scenario_).placement;
   }
+  placement_ = std::move(shard_step.placement);
   if (!route_classes()) {
     throw std::runtime_error(
         "ServingLoop: slot unroutable even after a replan (slot " +
@@ -657,7 +650,7 @@ void ServingLoop::serve_windows(SlotReport& report, const SlotPlan& plan,
   // metro's pool, modelling per-region serverless scaling. Unsharded, every
   // user is in group 0. Group 0's seed is des_seed, so a one-group split
   // reproduces the whole stream's window verbatim.
-  const int groups = sharded_ != nullptr ? std::max(1, config_.metros) : 1;
+  const int groups = config_.sharded ? std::max(1, config_.metros) : 1;
   std::vector<int> group_of(static_cast<std::size_t>(scenario_.num_users()),
                             0);
   for (int h = 0; groups > 1 && h < scenario_.num_users(); ++h) {
@@ -668,7 +661,7 @@ void ServingLoop::serve_windows(SlotReport& report, const SlotPlan& plan,
       serverless::generate_arrivals(scenario_.num_users(), arrival_config,
                                     data_pool_.get()),
       group_of, groups);
-  obs::ObsSink* const metro_sink = sharded_ != nullptr ? config_.sink : nullptr;
+  obs::ObsSink* const metro_sink = config_.sharded ? config_.sink : nullptr;
   const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
   for (std::size_t g = 0; g < windows.size(); ++g) {
     const auto metrics = runtime.run(
@@ -750,7 +743,7 @@ void ServingLoop::emit_metrics(const SlotReport& report,
   sink->set_gauge("socl.serve.cold_start_rate", report.cold_start_rate);
   sink->set_gauge("socl.serve.churn_cost", report.churn_cost);
   sink->set_gauge("socl.serve.objective", report.objective);
-  if (sharded_ != nullptr) {
+  if (config_.sharded) {
     sink->add_counter("socl.serve.shard.moved_shards", report.shards_resolved);
     sink->add_counter("socl.serve.shard.reprices", report.repriced ? 1 : 0);
   }

@@ -11,9 +11,9 @@
 // The rung then picks the placement: carried (no tuple moved; an unchanged
 // workload epoch skips routing), incremental (moved weight under the
 // threshold; lost coverage falls through), or replan (slot one, the periodic
-// floor, a substrate change or a drift breach: the warm-start online
-// controller, or the sharded coordinator). Every rung routes each class once
-// through the loop's SoA scoring kernel (core::ScoreKernel) — cheap next to
+// floor, a substrate change or a drift breach: the shard coordinator's warm
+// rungs, one per metro or one aliasing the scenario). Every rung routes
+// each class once through the loop's SoA scoring kernel — cheap next to
 // ingesting the workload (DESIGN.md §4i has the figures), and a pure
 // function of tuple and placement, so an unmoved class under a carried
 // placement gets its old route back bit for bit. The DES windows (one per
@@ -58,7 +58,7 @@ namespace socl::serve {
 enum class SlotMode {
   kCarried,      ///< no demand tuple moved: placement carried
   kIncremental,  ///< some tuples moved (below the threshold): placement carried
-  kReplan,       ///< new placement from core::online or the sharded solver
+  kReplan,       ///< new placement from the shard coordinator's step
 };
 
 const char* slot_mode_name(SlotMode mode);
@@ -81,15 +81,14 @@ struct ServingConfig {
   /// process that moves users *between shards* through the dense per-shard
   /// user remap. Requires metros > 1.
   double cross_metro_prob = 0.0;
-  /// Route replan slots through shard::ShardedSoCL::step instead of the
-  /// single-address-space OnlineSoCL: per-metro warm rungs at the frozen
-  /// budget price, global re-price only on budget drift, per-metro DES
-  /// windows. Requires metros >= 1. With one metro the day is byte-identical
-  /// to the unsharded loop (test_serving pins it via CSV diff).
+  /// Picks the replan coordinator's plan: one shard per metro (warm rungs at
+  /// the frozen budget price, re-price only on budget drift, per-metro DES
+  /// windows) instead of one shard aliasing the scenario. Requires metros
+  /// >= 1; with one metro the day is byte-identical to the unsharded loop.
   bool sharded = false;
-  /// Coordinator knobs for sharded mode. Its `solver`, `online` and `sink`
-  /// fields are overridden from this config's `online.socl`, `online` and
-  /// `sink` (single source of truth).
+  /// Replan coordinator knobs. Its `solver`, `online` and `sink` fields are
+  /// overridden from this config's `online.socl`, `online` and `sink`
+  /// (single source of truth).
   shard::ShardedParams shard;
   /// Aggregated users actually served (replicate_requests over the template
   /// workload; 0 keeps the template count). Request-class aggregation keeps
@@ -105,7 +104,7 @@ struct ServingConfig {
   /// different request template (chain, data volumes, deadline), keeping its
   /// id and attach node. Bounded template pool ⇒ bounded class count.
   double drift_prob = 0.0;
-  /// Warm-start controller parameters for replan slots.
+  /// Warm-start controller parameters of the coordinator's per-shard rungs.
   core::OnlineParams online;
   /// Replan when the moved-class weight fraction exceeds this; below it the
   /// placement is carried.
@@ -309,8 +308,8 @@ class ServingLoop {
   /// The carried placement the DES opens warm: the previous slot's, plus
   /// added instances the pre-warm snapshot predicted, minus failed nodes.
   core::Placement warm_pools(SlotReport& report, const SlotPlan& plan) const;
-  /// (Re)creates the sharded coordinator against the current scenario —
-  /// used at construction and on every substrate change.
+  /// (Re)creates the replan coordinator against the current scenario — at
+  /// construction, and on every substrate change of a sharded day.
   void rebuild_sharded();
   /// Routes every class once under placement_ and expands each route to
   /// the class members in assignment_; sets latency_total_. Returns false
@@ -337,11 +336,8 @@ class ServingLoop {
   util::Rng mobility_rng_;
   util::Rng drift_rng_;
   util::Rng cross_metro_rng_;
-  core::OnlineSoCL online_;
-  /// Sharded replan engine (null unless config.sharded). Recreated on every
-  /// substrate change: a fresh coordinator's first step runs an implicit
-  /// full solve with repriced = true — the required re-price on substrate
-  /// change.
+  /// The replan engine. Sharded, it is recreated on every substrate change:
+  /// its first step re-prices (repriced = true).
   std::unique_ptr<shard::ShardedSoCL> sharded_;
 
   /// Chaos lane (both null when chaos is disabled). `healthy_network_` is

@@ -1,6 +1,7 @@
 #include "shard/shard_plan.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -110,20 +111,34 @@ net::EdgeNetwork induced_network(const net::EdgeNetwork& global,
 
 ShardProblem::ShardProblem(const core::Scenario& global, const ShardPlan& plan,
                            int shard)
-    : shard_(shard),
+    : global_(&global),
       local_to_global_node_(plan.nodes.at(static_cast<std::size_t>(shard))),
       global_to_local_node_(
-          node_inverse(local_to_global_node_, global.num_nodes())),
-      scenario_(
-          induced_network(global.network(), local_to_global_node_,
-                          global_to_local_node_),
-          global.catalog(), localize(global.requests()), global.constants()) {}
+          node_inverse(local_to_global_node_, global.num_nodes())) {
+  own_.emplace(induced_network(global.network(), local_to_global_node_,
+                               global_to_local_node_),
+               global.catalog(), localize(), global.constants());
+}
 
-std::vector<workload::UserRequest> ShardProblem::localize(
-    const std::vector<workload::UserRequest>& requests) {
+ShardProblem::ShardProblem(const core::Scenario& global)
+    : global_(&global),
+      local_to_global_node_(static_cast<std::size_t>(global.num_nodes())),
+      seen_epoch_(global.workload_epoch()) {
+  std::iota(local_to_global_node_.begin(), local_to_global_node_.end(),
+            net::NodeId{0});
+}
+
+void ShardProblem::set_constants(const core::ProblemConstants& constants) {
+  if (!own_) {
+    throw std::logic_error("ShardProblem: an alias is never priced");
+  }
+  own_->set_constants(constants);
+}
+
+std::vector<workload::UserRequest> ShardProblem::localize() {
   local_to_global_user_.clear();
   std::vector<workload::UserRequest> local;
-  for (const auto& request : requests) {
+  for (const auto& request : global_->requests()) {
     const net::NodeId attach =
         global_to_local_node_.at(static_cast<std::size_t>(request.attach_node));
     if (attach == net::kInvalidNode) continue;
@@ -136,9 +151,14 @@ std::vector<workload::UserRequest> ShardProblem::localize(
   return local;
 }
 
-bool ShardProblem::set_requests(
-    const std::vector<workload::UserRequest>& requests) {
-  const std::uint64_t before = scenario_.workload_epoch();
+bool ShardProblem::sync() {
+  if (!own_) {
+    const std::uint64_t epoch = global_->workload_epoch();
+    const bool moved = epoch != seen_epoch_;
+    seen_epoch_ = epoch;
+    return moved;
+  }
+  const std::uint64_t before = own_->workload_epoch();
   // Membership changes are invisible to the scenario's positional
   // unchanged-workload check: localize() always hands it dense local ids
   // 0..n-1, so a user swap between shards (one leaves, an equal-tuple user
@@ -148,23 +168,24 @@ bool ShardProblem::set_requests(
   // the shard as moved — both sides of a cross-shard move re-run their rung
   // and the merged assignment never bills a user to its old shard.
   const std::vector<int> members_before = local_to_global_user_;
-  scenario_.set_requests(localize(requests));
-  return scenario_.workload_epoch() != before ||
+  own_->set_requests(localize());
+  return own_->workload_epoch() != before ||
          local_to_global_user_ != members_before;
 }
 
 double ShardProblem::min_feasible_spend() const {
+  const core::Scenario& problem = scenario();
   std::vector<bool> used(
-      static_cast<std::size_t>(scenario_.num_microservices()), false);
-  for (const auto& request : scenario_.requests()) {
+      static_cast<std::size_t>(problem.num_microservices()), false);
+  for (const auto& request : problem.requests()) {
     for (const workload::MsId m : request.chain) {
       used[static_cast<std::size_t>(m)] = true;
     }
   }
   double spend = 0.0;
-  for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
+  for (workload::MsId m = 0; m < problem.num_microservices(); ++m) {
     if (used[static_cast<std::size_t>(m)]) {
-      spend += scenario_.catalog().microservice(m).deploy_cost;
+      spend += problem.catalog().microservice(m).deploy_cost;
     }
   }
   return spend;
@@ -190,16 +211,6 @@ void ShardProblem::merge_assignment(const core::Assignment& local,
     for (net::NodeId& k : route) k = to_global_node(k);
     global.set_user_route(to_global_user(user), route);
   }
-}
-
-std::vector<ShardProblem> extract_shards(const core::Scenario& global,
-                                         const ShardPlan& plan) {
-  std::vector<ShardProblem> shards;
-  shards.reserve(static_cast<std::size_t>(plan.num_shards()));
-  for (int s = 0; s < plan.num_shards(); ++s) {
-    shards.emplace_back(global, plan, s);
-  }
-  return shards;
 }
 
 }  // namespace socl::shard

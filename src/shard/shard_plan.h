@@ -19,10 +19,12 @@
 // The extraction is lossless for the degenerate one-shard plan: local ids
 // equal global ids, the sub-network reproduces the global network link for
 // link, and a solve of the extracted scenario is bit-identical to a solve of
-// the original (the single-shard identity lane of test_shard and
-// `bench_shard --check` enforce this).
+// the original (test_shard's single-shard lane). ShardedSoCL nevertheless
+// aliases that plan's one shard instead of extracting it: no copy.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,35 +55,42 @@ ShardPlan plan_from_metros(const std::vector<int>& metro_of, int metros);
 ShardPlan plan_from_components(const net::EdgeNetwork& network,
                                std::span<const net::LinkId> cut_links);
 
-/// One extracted shard: an independent Scenario plus the id maps back into
-/// the global problem.
+/// One shard: an extracted, independent Scenario plus the id maps back into
+/// the global problem, or an alias of the whole global Scenario.
 class ShardProblem {
  public:
-  /// Extracts shard `shard` of `plan` from the global scenario. The global
-  /// scenario's catalog must outlive this object (the sub-scenario holds a
-  /// reference to the same catalog).
+  /// Extracts shard `shard` of `plan` from the global scenario, which must
+  /// outlive this object (sync() re-localizes from its workload).
   ShardProblem(const core::Scenario& global, const ShardPlan& plan, int shard);
+  /// Aliases `global` as the one shard of the one-shard plan: identity id
+  /// maps, scenario() is `global` itself, nothing is copied.
+  explicit ShardProblem(const core::Scenario& global);
 
-  core::Scenario& scenario() { return scenario_; }
-  const core::Scenario& scenario() const { return scenario_; }
+  const core::Scenario& scenario() const { return own_ ? *own_ : *global_; }
+  bool aliased() const { return !own_; }
+  /// Sets an extracted shard's constants; an alias's are never written.
+  void set_constants(const core::ProblemConstants& constants);
 
-  int shard_index() const { return shard_; }
-  int num_users() const { return static_cast<int>(local_to_global_user_.size()); }
+  int num_users() const {
+    return own_ ? static_cast<int>(local_to_global_user_.size())
+                : global_->num_users();
+  }
 
   net::NodeId to_global_node(net::NodeId local) const {
     return local_to_global_node_[static_cast<std::size_t>(local)];
   }
   int to_global_user(int local) const {
-    return local_to_global_user_[static_cast<std::size_t>(local)];
+    return own_ ? local_to_global_user_[static_cast<std::size_t>(local)]
+                : local;
   }
 
-  /// Replaces the shard's workload with the subset of `requests` attached
-  /// inside the shard (callers pass the *global* request vector; extraction
-  /// and id remapping follow the same ascending-global-id rule as the
-  /// constructor). Returns true when the shard's workload epoch moved —
-  /// i.e. at least one member's demand tuple actually changed — which is
-  /// the coordinator's per-shard incremental trigger.
-  bool set_requests(const std::vector<workload::UserRequest>& requests);
+  /// Re-reads the shard's workload from the global scenario; returns true
+  /// when it moved since the last sync — the coordinator's per-shard
+  /// incremental trigger. An extracted shard re-localizes (same rule as
+  /// the constructor) and has moved when a member's demand tuple or the
+  /// membership changed; an alias, when the global workload epoch did
+  /// (which a substrate swap bumps too).
+  bool sync();
 
   /// Minimal feasible spend: Σ κ(m) over microservices appearing in any of
   /// the shard's chains (each must be deployed at least once for the shard
@@ -97,20 +106,15 @@ class ShardProblem {
                         core::Assignment& global) const;
 
  private:
-  /// Extracts and remaps the shard-local subset of a global request vector.
-  std::vector<workload::UserRequest> localize(
-      const std::vector<workload::UserRequest>& requests);
+  /// Extracts and remaps the shard-local subset of the global workload.
+  std::vector<workload::UserRequest> localize();
 
-  int shard_ = 0;
+  const core::Scenario* global_;
   std::vector<net::NodeId> local_to_global_node_;
   std::vector<net::NodeId> global_to_local_node_;  ///< kInvalidNode outside
-  std::vector<int> local_to_global_user_;
-  core::Scenario scenario_;
+  std::vector<int> local_to_global_user_;  ///< empty for an alias
+  std::optional<core::Scenario> own_;      ///< empty for an alias
+  std::uint64_t seen_epoch_ = 0;  ///< alias: global epoch at the last sync
 };
-
-/// Extracts every shard of the plan (ascending shard index). Shards with no
-/// attached users are still extracted (their solve is trivial).
-std::vector<ShardProblem> extract_shards(const core::Scenario& global,
-                                         const ShardPlan& plan);
 
 }  // namespace socl::shard

@@ -18,12 +18,10 @@ namespace {
 /// μ·(K − spend)/|primal| of the accepted feasible iterate falls below this.
 constexpr double kGapTolerance = 0.02;
 
-/// λ' = (λ+μ)/(1+μ): the objective weight under which a plain SoCL solve
-/// minimises the μ-priced Lagrangian term (1+μ)·[λ'·cost + (1-λ')·w·lat] =
-/// (λ+μ)·cost + (1-λ)·w·lat. The latency weight is untouched (the algebra
-/// folds 1/(1+μ) into (1-λ') exactly) and the budget stays the *global* K:
-/// during priced iterations the per-shard budget constraint is relaxed — the
-/// price, not a quota, is what drives spend down.
+/// λ' = (λ+μ)/(1+μ): a plain SoCL solve at λ' minimises the μ-priced
+/// Lagrangian term (λ+μ)·cost + (1-λ)·w·lat, up to the factor 1+μ. The
+/// budget stays the *global* K: priced iterations relax the per-shard
+/// budget — the price, not a quota, drives spend down.
 core::ProblemConstants priced_constants(const core::ProblemConstants& base,
                                         double price) {
   core::ProblemConstants priced = base;
@@ -87,6 +85,23 @@ double slackness_gap(double price, double spend, double budget,
   return residual / std::max(std::abs(primal), 1e-12);
 }
 
+/// A plan with one shard holding every node is the global problem itself:
+/// alias it instead of extracting a copy.
+std::vector<ShardProblem> make_shards(const core::Scenario& global,
+                                      const ShardPlan& plan) {
+  std::vector<ShardProblem> shards;
+  if (plan.num_shards() == 1 &&
+      static_cast<int>(plan.nodes[0].size()) == global.num_nodes()) {
+    shards.emplace_back(global);
+    return shards;
+  }
+  shards.reserve(static_cast<std::size_t>(plan.num_shards()));
+  for (int s = 0; s < plan.num_shards(); ++s) {
+    shards.emplace_back(global, plan, s);  // shards without users too
+  }
+  return shards;
+}
+
 }  // namespace
 
 double DualState::update(double spend, double budget) {
@@ -147,7 +162,7 @@ ShardedSoCL::ShardedSoCL(const core::Scenario& global, const ShardPlan& plan,
                          ShardedParams params)
     : global_(&global),
       params_(std::move(params)),
-      shards_(extract_shards(global, plan)) {
+      shards_(make_shards(global, plan)) {
   if (static_cast<int>(plan.shard_of.size()) != global.num_nodes()) {
     throw std::invalid_argument("ShardedSoCL: plan does not cover the network");
   }
@@ -155,7 +170,6 @@ ShardedSoCL::ShardedSoCL(const core::Scenario& global, const ShardPlan& plan,
 
 core::SoCLParams ShardedSoCL::shard_solver_params() const {
   core::SoCLParams params = params_.solver;
-  params.sink = nullptr;  // coordination metrics are emitted once
   if (params_.shard_threads > 0) {
     params.combination.threads = params_.shard_threads;
   }
@@ -164,11 +178,12 @@ core::SoCLParams ShardedSoCL::shard_solver_params() const {
 
 void ShardedSoCL::set_shard_constants(std::size_t s, double price,
                                       const std::vector<double>* quotas) {
+  if (shards_[s].aliased()) return;
   const core::ProblemConstants& base = global_->constants();
   core::ProblemConstants constants =
       quotas != nullptr ? base : priced_constants(base, price);
   if (quotas != nullptr) constants.budget = (*quotas)[s];
-  shards_[s].scenario().set_constants(constants);
+  shards_[s].set_constants(constants);
 }
 
 void ShardedSoCL::solve_all_shards(double price,
@@ -202,17 +217,22 @@ void ShardedSoCL::solve_all_shards(double price,
   solve_s.assign(shards, 0.0);
 
   const core::SoCLParams shard_params = shard_solver_params();
-  util::ThreadPool pool(static_cast<std::size_t>(
-      params_.threads > 0 ? params_.threads : 0));
-  pool.parallel_for(shards, [&](std::size_t i) {
+  const auto solve_shard = [&](std::size_t i) {
     const std::size_t s = order[i];
-    ShardProblem& shard = shards_[s];
+    const ShardProblem& shard = shards_[s];
     if (shard.num_users() == 0) return;  // placeholder is the answer
     set_shard_constants(s, price, quotas);
     util::WallTimer timer;
     out[s] = core::SoCL(shard_params).solve(shard.scenario());
     solve_s[s] = timer.elapsed_seconds();
-  });
+  };
+  if (shards == 1) {
+    solve_shard(0);  // nothing to fan out: solve on the caller's thread
+  } else {
+    util::ThreadPool pool(static_cast<std::size_t>(
+        params_.threads > 0 ? params_.threads : 0));
+    pool.parallel_for(shards, solve_shard);
+  }
   // Every per-shard solve of the price search and the quota fallback,
   // observed on the coordinator thread in shard order (shard_solve_s sees
   // only the accepted iterate's solves).
@@ -226,6 +246,15 @@ void ShardedSoCL::solve_all_shards(double price,
 }
 
 ShardedSolution ShardedSoCL::solve() {
+  util::WallTimer timer;
+  coordinate();
+  ShardedSolution solution = recombine();
+  release_assignments();
+  solution.runtime_seconds = timer.elapsed_seconds();
+  return solution;
+}
+
+void ShardedSoCL::coordinate() {
   util::WallTimer timer;
   const obs::ScopedSpan span(params_.sink, obs::Phase::kOther, "shard.solve");
   const core::ProblemConstants base = global_->constants();
@@ -287,7 +316,7 @@ ShardedSolution ShardedSoCL::solve() {
       feasible_above = std::min(feasible_above, price);
       if (primal < best_primal) {
         best_primal = primal;
-        accepted = iterate;
+        accepted.swap(iterate);  // the next iterate overwrites `iterate`
         accepted_s = iterate_s;
         accepted_price = price;
         accepted_spend = spend;
@@ -386,11 +415,7 @@ ShardedSolution ShardedSoCL::solve() {
   storage_ok_at_price_ = accepted_totals.storage_ok;
   solved_ = true;
   reseed_rungs();
-
-  ShardedSolution solution = recombine();
-  solution.runtime_seconds = timer.elapsed_seconds();
-  emit_metrics(solution);
-  return solution;
+  emit_metrics(timer.elapsed_seconds());
 }
 
 void ShardedSoCL::reseed_rungs() {
@@ -423,17 +448,17 @@ void ShardedSoCL::resolve_shard(int s) {
   current_solve_s_[i] = timer.elapsed_seconds();
 }
 
-ShardedSoCL::StepReport ShardedSoCL::step(
-    const std::vector<workload::UserRequest>& requests, bool force_all) {
+ShardedSoCL::StepReport ShardedSoCL::step(bool force_all) {
   std::vector<int> moved;
   for (int s = 0; s < num_shards(); ++s) {
-    const bool shard_moved =
-        shards_[static_cast<std::size_t>(s)].set_requests(requests);
+    const bool shard_moved = shards_[static_cast<std::size_t>(s)].sync();
     if (shard_moved || force_all) moved.push_back(s);
   }
   if (!solved_) {
     obs::add_counter(params_.sink, "socl.shard.shards_resolved", num_shards());
-    return StepReport{num_shards(), true, solve()};
+    coordinate();
+    release_assignments();
+    return StepReport{num_shards(), true, merged_placement()};
   }
 
   for (const int s : moved) resolve_shard(s);
@@ -469,28 +494,36 @@ ShardedSoCL::StepReport ShardedSoCL::step(
   // when even the accepted coordinated solve could not fit (fallback at an
   // infeasible instance), a re-solve of the unchanged breach is pure waste.
   const bool storage_breach = !sum.storage_ok && storage_ok_at_price_;
-  if ((breach || drift || storage_breach) && num_shards() > 1) {
+  const bool reprice = (breach || drift || storage_breach) && num_shards() > 1;
+  if (reprice) {
     obs::add_counter(params_.sink, "socl.shard.reprices", 1);
-    return StepReport{resolved, true, solve()};
+    coordinate();
+  } else {
+    obs::add_counter(params_.sink, "socl.shard.incremental_steps", 1);
   }
-  obs::add_counter(params_.sink, "socl.shard.incremental_steps", 1);
-  return StepReport{resolved, false, recombine()};
+  release_assignments();
+  return StepReport{resolved, reprice, merged_placement()};
+}
+
+core::Placement ShardedSoCL::merged_placement() const {
+  core::Placement placement(*global_);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].merge_placement(current_[s].placement, placement);
+  }
+  return placement;
+}
+
+void ShardedSoCL::release_assignments() {
+  for (core::Solution& solution : current_) solution.assignment.reset();
 }
 
 ShardedSolution ShardedSoCL::recombine() const {
-  ShardedSolution solution{.placement = core::Placement(*global_),
-                           .assignment = std::nullopt,
-                           .evaluation = {},
-                           .price_trajectory = {},
-                           .spend_trajectory = {},
-                           .shard_spend = {},
-                           .shard_solve_s = {}};
+  ShardedSolution solution{.placement = merged_placement()};
   const double budget = global_->constants().budget;
 
   bool all_routable = true;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const core::Solution& shard_solution = current_[s];
-    shards_[s].merge_placement(shard_solution.placement, solution.placement);
     if (shards_[s].num_users() > 0 && !shard_solution.assignment) {
       all_routable = false;
     }
@@ -536,27 +569,25 @@ ShardedSolution ShardedSoCL::recombine() const {
   return solution;
 }
 
-void ShardedSoCL::emit_metrics(const ShardedSolution& solution) const {
+void ShardedSoCL::emit_metrics(double runtime_seconds) const {
   obs::ObsSink* const sink = params_.sink;
   if (sink == nullptr) return;
   sink->add_counter("socl.shard.solves", 1);
-  sink->set_gauge("socl.shard.shards", static_cast<double>(solution.shards));
-  sink->set_gauge("socl.shard.iterations",
-                  static_cast<double>(solution.iterations));
-  sink->set_gauge("socl.shard.duality_gap", solution.duality_gap);
-  sink->set_gauge("socl.shard.price", solution.price);
-  sink->set_gauge("socl.shard.spend", solution.spend);
-  sink->set_gauge("socl.shard.budget", solution.budget);
-  sink->set_gauge("socl.shard.converged", solution.converged ? 1.0 : 0.0);
-  sink->add_counter("socl.shard.quota_fallbacks",
-                    solution.used_quota_fallback ? 1 : 0);
-  for (const double price : solution.price_trajectory) {
+  sink->set_gauge("socl.shard.shards", static_cast<double>(num_shards()));
+  sink->set_gauge("socl.shard.iterations", static_cast<double>(iterations_));
+  sink->set_gauge("socl.shard.duality_gap", duality_gap_);
+  sink->set_gauge("socl.shard.price", price_);
+  sink->set_gauge("socl.shard.spend", spend_at_price_);
+  sink->set_gauge("socl.shard.budget", global_->constants().budget);
+  sink->set_gauge("socl.shard.converged", converged_ ? 1.0 : 0.0);
+  sink->add_counter("socl.shard.quota_fallbacks", quotas_ ? 1 : 0);
+  for (const double price : price_trajectory_) {
     sink->observe("socl.shard.price_step", price);
   }
-  for (const double solve_s : solution.shard_solve_s) {
+  for (const double solve_s : current_solve_s_) {
     sink->observe("socl.shard.shard_solve_s", solve_s);
   }
-  sink->observe("socl.shard.solve_s", solution.runtime_seconds);
+  sink->observe("socl.shard.solve_s", runtime_seconds);
 }
 
 }  // namespace socl::shard

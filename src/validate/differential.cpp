@@ -61,7 +61,7 @@ FuzzCase make_fuzz_case(std::uint64_t seed) {
   std::vector<workload::MsId> all_ms;
   for (int i = 0; i < ms_count; ++i) {
     workload::Microservice ms;
-    ms.name = "m" + std::to_string(i);
+    ms.name = 'm' + std::to_string(i);
     ms.deploy_cost = rng.uniform(100.0, 400.0);
     ms.storage = rng.uniform(0.5, 2.5);
     ms.compute_gflop = rng.uniform(0.5, 3.0);

@@ -88,6 +88,22 @@ void expect_kernel_matches_router(const Scenario& scenario,
   EXPECT_GT(stats.lanes, 0);
 }
 
+/// A user at hub 0 of a symmetric star (nodes 1 and 2: equal speed, equal
+/// link rate) whose chain is hosted on both leaves: the two conditionings
+/// (1, 1) and (2, 2) end with bit-equal totals.
+Scenario make_tied_scenario() {
+  net::EdgeNetwork network;
+  for (int k = 0; k < 3; ++k) network.add_node({});
+  network.add_link_with_rate(0, 1, 8.0);
+  network.add_link_with_rate(0, 2, 8.0);
+  workload::UserRequest request;
+  request.id = 0;
+  request.attach_node = 0;
+  request.chain = {0, 1};
+  request.edge_data = {2.0};
+  return Scenario(std::move(network), workload::tiny_catalog(), {request}, {});
+}
+
 TEST(ScoreKernel, CostsAndRoutesBitIdenticalToLegacy) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     Fixture fx(seed);
@@ -95,6 +111,19 @@ TEST(ScoreKernel, CostsAndRoutesBitIdenticalToLegacy) {
     EXPECT_TRUE(kernel.delay_tables_enabled());
     ScoreKernel::Arena arena;
     expect_kernel_matches_router(fx.scenario, kernel, fx.pre.placement, arena);
+  }
+  // Terminal ties: the kernel must keep the first bit-equal minimum, as the
+  // oracle's strict < does.
+  const Scenario tied = make_tied_scenario();
+  Placement both(tied);
+  for (const MsId m : {0, 1}) {
+    both.deploy(m, 1);
+    both.deploy(m, 2);
+  }
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{1} << 20}) {
+    ScoreKernel kernel(tied, budget);
+    ScoreKernel::Arena arena;
+    expect_kernel_matches_router(tied, kernel, both, arena);
   }
 }
 

@@ -17,6 +17,7 @@
 
 #include "core/evaluator.h"
 #include "core/routing.h"
+#include "obs/recorder.h"
 
 namespace socl::serve {
 namespace {
@@ -374,10 +375,10 @@ void expect_shard_fields_equal(const std::vector<SlotReport>& a,
 }
 
 TEST(ServingLoop, OneMetroShardedDayIsByteIdenticalToUnsharded) {
-  // The serve→shard seam's identity lane: with one metro the shard plan is
-  // trivial, the coordinator short-circuits at μ = 0, and the warm rung is
-  // the legacy OnlineSoCL — so the whole day, slot for slot and column for
-  // column, must reproduce the existing ServingLoop path bit for bit.
+  // The serve→shard seam's identity lane: with one metro the per-metro plan
+  // and the single-shard plan are the same one shard, which aliases the
+  // loop's scenario — so the whole day, slot for slot and column for column,
+  // must reproduce the unsharded day bit for bit.
   ServingConfig base = small_config(41);
   base.slots = 12;
   base.metros = 1;
@@ -492,6 +493,41 @@ TEST(ServingLoop, ShardedDayIsDeterministicAcrossRunsAndThreadCounts) {
   const ServingReport third = ServingLoop(threaded).run();
   expect_slots_equal(first.slots, third.slots);
   expect_shard_fields_equal(first.slots, third.slots);
+}
+
+// Per-shard solves report through the day's sink, from the coordinator's
+// fan-out threads when sharded: the work counters must be real and must not
+// depend on how many threads shared the sink.
+TEST(ServingLoop, ShardedDaySinkCountsPerShardWorkAcrossThreadCounts) {
+  ServingConfig config = small_config(59);
+  config.scenario.num_nodes = 5;  // per metro
+  config.metros = 2;
+  config.sharded = true;
+  config.slots = 6;
+  config.scenario.constants.budget = 13000.0;  // 2× coverage floor
+
+  const auto work_counters = [&config](int threads) {
+    obs::Recorder recorder;
+    ServingConfig run = config;
+    run.sink = &recorder;
+    run.online.socl.sink = &recorder;
+    run.shard.threads = threads;
+    ServingLoop(run).run();
+    const obs::MetricsSnapshot snapshot = recorder.metrics().snapshot();
+    const auto counter = [&snapshot](const char* name) -> std::int64_t {
+      const obs::SnapshotEntry* entry = snapshot.find(name);
+      return entry != nullptr ? entry->counter : 0;
+    };
+    // perfbench's core.kernel_costs, core.routes_computed, core.serial_moves.
+    return std::vector<std::int64_t>{
+        counter("socl.kernel.costs"), counter("socl.routing.routes_computed"),
+        counter("socl.combination.serial_removals") +
+            counter("socl.combination.rollbacks")};
+  };
+
+  const std::vector<std::int64_t> serial = work_counters(1);
+  for (const std::int64_t counter : serial) EXPECT_GT(counter, 0);
+  EXPECT_EQ(work_counters(2), serial);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/evaluator.h"
 #include "core/socl.h"
 #include "net/multi_metro.h"
 #include "obs/recorder.h"
@@ -120,42 +121,52 @@ core::ScenarioConfig tiny_config(int nodes, int users) {
   return config;
 }
 
+/// Objective terms, placement and every user route of two solves of one
+/// scenario (core::Solution or ShardedSolution).
+template <typename A, typename B>
+void expect_same_solution(const A& a, const B& b, int users) {
+  EXPECT_EQ(a.evaluation.objective, b.evaluation.objective);
+  EXPECT_EQ(a.evaluation.total_latency, b.evaluation.total_latency);
+  EXPECT_EQ(a.evaluation.deployment_cost, b.evaluation.deployment_cost);
+  EXPECT_TRUE(a.placement == b.placement);
+  ASSERT_EQ(a.assignment.has_value(), b.assignment.has_value());
+  if (!a.assignment) return;
+  for (int h = 0; h < users; ++h) {
+    const auto ra = a.assignment->user_route(h);
+    const auto rb = b.assignment->user_route(h);
+    ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+        << "user " << h;
+  }
+}
+
 // The 50-seed single-shard identity lane: solving through the decomposition
 // with the trivial one-shard plan must be bit-identical to the unsharded
-// solver — the extraction (induced network, localized requests) and the
-// μ = 0 short-circuit are both lossless by construction.
+// solver — the μ = 0 short-circuit is lossless by construction. The
+// coordinator aliases the one-shard plan, so the lane also solves an
+// explicitly extracted one-shard scenario: the induced network and the
+// localized requests must be lossless too, since multi-shard routing
+// exactness rests on the same extraction (DESIGN.md §4j).
 TEST(ShardedSoCL, SingleShardBitIdenticalAcrossFiftySeeds) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     const int nodes = 5 + static_cast<int>(seed % 4);
     const int users = 10 + static_cast<int>(seed % 11);
     const core::Scenario scenario =
         core::make_scenario(tiny_config(nodes, users), seed);
 
     const core::Solution unsharded = core::SoCL().solve(scenario);
+    const ShardProblem extracted(scenario, single_shard_plan(scenario), 0);
+    ASSERT_FALSE(extracted.aliased());
+    ASSERT_EQ(extracted.num_users(), scenario.num_users());
+    expect_same_solution(core::SoCL().solve(extracted.scenario()), unsharded,
+                         scenario.num_users());
+
     ShardedSoCL solver(scenario, single_shard_plan(scenario));
     const ShardedSolution sharded = solver.solve();
 
-    ASSERT_EQ(sharded.shards, 1) << "seed " << seed;
-    EXPECT_EQ(sharded.evaluation.objective, unsharded.evaluation.objective)
-        << "seed " << seed;
-    EXPECT_EQ(sharded.evaluation.total_latency,
-              unsharded.evaluation.total_latency)
-        << "seed " << seed;
-    EXPECT_EQ(sharded.evaluation.deployment_cost,
-              unsharded.evaluation.deployment_cost)
-        << "seed " << seed;
-    EXPECT_TRUE(sharded.placement == unsharded.placement) << "seed " << seed;
-    ASSERT_EQ(sharded.assignment.has_value(), unsharded.assignment.has_value())
-        << "seed " << seed;
-    if (sharded.assignment) {
-      for (int h = 0; h < scenario.num_users(); ++h) {
-        const auto a = sharded.assignment->user_route(h);
-        const auto b = unsharded.assignment->user_route(h);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-            << "seed " << seed << " user " << h;
-      }
-    }
-    EXPECT_EQ(sharded.duality_gap, 0.0) << "seed " << seed;
+    ASSERT_EQ(sharded.shards, 1);
+    expect_same_solution(sharded, unsharded, scenario.num_users());
+    EXPECT_EQ(sharded.duality_gap, 0.0);
   }
 }
 
@@ -185,6 +196,64 @@ struct MetroFixture {
     return core::Scenario(topo.network, *catalog, requests, constants);
   }
 };
+
+// The coordinator's one shard is the global scenario itself, and its
+// incremental trigger is the global workload epoch: a new workload or a
+// substrate swap re-runs the rung, an unchanged epoch re-runs nothing.
+TEST(ShardedSoCL, OneShardPlanAliasesTheGlobalScenario) {
+  core::Scenario scenario = core::make_scenario(tiny_config(7, 16), 3);
+  ShardedSoCL solver(scenario, single_shard_plan(scenario));
+  ASSERT_EQ(solver.num_shards(), 1);
+  EXPECT_TRUE(solver.shard(0).aliased());
+  EXPECT_EQ(&solver.shard(0).scenario(), &scenario);
+
+  const auto first = solver.step();
+  EXPECT_TRUE(first.repriced);  // the implicit first solve
+  EXPECT_EQ(first.shards_resolved, 1);
+  EXPECT_TRUE(first.placement == core::SoCL().solve(scenario).placement);
+  EXPECT_EQ(solver.step().shards_resolved, 0);
+
+  auto requests = scenario.requests();
+  requests[0].attach_node = (requests[0].attach_node + 1) % 7;
+  scenario.set_requests(std::move(requests));
+  const auto moved = solver.step();
+  EXPECT_EQ(moved.shards_resolved, 1);
+  EXPECT_FALSE(moved.repriced);
+  EXPECT_EQ(solver.step().shards_resolved, 0);
+
+  scenario.set_network(net::EdgeNetwork(scenario.network()));
+  EXPECT_EQ(solver.step().shards_resolved, 1);
+  EXPECT_EQ(solver.step().shards_resolved, 0);
+  EXPECT_EQ(solver.step(/*force_all=*/true).shards_resolved, 1);
+  EXPECT_EQ(&solver.shard(0).scenario(), &scenario);
+}
+
+// The aliased shard's constants are never written, which is exact only
+// because one shard is never priced: the single-shard break keeps μ at 0
+// even when the budget cannot be met, the quota fallback needs two shards,
+// and λ' = (λ+μ)/(1+μ) at μ = 0 is λ bit for bit.
+TEST(ShardedSoCL, OneShardIsNeverPriced) {
+  for (const double lambda : {0.0, 0.1, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.999, 1.0}) {
+    const double priced = (lambda + 0.0) / (1.0 + 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(priced),
+              std::bit_cast<std::uint64_t>(lambda))
+        << lambda;
+  }
+  core::ScenarioConfig config = tiny_config(6, 14);
+  config.constants.budget = 1.0;  // far below any coverage
+  const core::Scenario scenario = core::make_scenario(config, 8);
+  const core::ProblemConstants before = scenario.constants();
+  ShardedSoCL solver(scenario, single_shard_plan(scenario));
+  const ShardedSolution solution = solver.solve();
+  EXPECT_EQ(solution.price, 0.0);
+  EXPECT_EQ(solution.iterations, 1);
+  EXPECT_FALSE(solution.used_quota_fallback);
+  EXPECT_GT(solution.spend, solution.budget);
+  EXPECT_EQ(scenario.constants().lambda, before.lambda);
+  EXPECT_EQ(scenario.constants().budget, before.budget);
+  EXPECT_FALSE(solver.step(/*force_all=*/true).repriced);
+  EXPECT_EQ(scenario.constants().budget, before.budget);
+}
 
 TEST(ShardPlan, MetroAndComponentDerivationsAgree) {
   const MetroFixture fixture(3, 5, 24, /*seed=*/9);
@@ -255,8 +324,8 @@ TEST(ShardedSoCL, QuotaFallbackStaysBudgetFeasible) {
   const ShardPlan plan =
       plan_from_metros(fixture.topo.metro_of, fixture.topo.metros);
   double floor_sum = 0.0;
-  for (const ShardProblem& shard : extract_shards(probe, plan)) {
-    floor_sum += shard.min_feasible_spend();
+  for (int s = 0; s < plan.num_shards(); ++s) {
+    floor_sum += ShardProblem(probe, plan, s).min_feasible_spend();
   }
   ASSERT_GT(floor_sum, 0.0);
 
@@ -275,7 +344,7 @@ TEST(ShardedSoCL, QuotaFallbackStaysBudgetFeasible) {
 
 TEST(ShardedSoCL, StepResolvesOnlyMovedShards) {
   const MetroFixture fixture(2, 6, 30, /*seed=*/21);
-  const core::Scenario scenario = fixture.scenario(/*budget=*/50000.0);
+  core::Scenario scenario = fixture.scenario(/*budget=*/50000.0);
   const ShardPlan plan =
       plan_from_metros(fixture.topo.metro_of, fixture.topo.metros);
   ShardedParams params;
@@ -283,16 +352,16 @@ TEST(ShardedSoCL, StepResolvesOnlyMovedShards) {
   ShardedSoCL solver(scenario, plan, params);
 
   // First step runs the implicit full solve.
-  const auto first = solver.step(fixture.requests);
+  const auto first = solver.step();
   EXPECT_TRUE(first.repriced);
   EXPECT_EQ(first.shards_resolved, 2);
 
   // An identical workload moves no shard epoch: nothing re-solves.
-  const auto idle = solver.step(fixture.requests);
+  scenario.set_requests(fixture.requests);
+  const auto idle = solver.step();
   EXPECT_FALSE(idle.repriced);
   EXPECT_EQ(idle.shards_resolved, 0);
-  EXPECT_EQ(idle.solution.evaluation.objective,
-            first.solution.evaluation.objective);
+  EXPECT_TRUE(idle.placement == first.placement);
 
   // Move one user inside metro 0 (attach to another node of the same
   // metro): only that shard's epoch moves, and the re-solve is local.
@@ -304,10 +373,11 @@ TEST(ShardedSoCL, StepResolvesOnlyMovedShards) {
       break;
     }
   }
-  const auto local = solver.step(moved);
+  scenario.set_requests(std::move(moved));
+  const auto local = solver.step();
   EXPECT_FALSE(local.repriced);
   EXPECT_EQ(local.shards_resolved, 1);
-  EXPECT_TRUE(local.solution.evaluation.routable);
+  EXPECT_TRUE(core::Evaluator(scenario).evaluate(local.placement).routable);
 }
 
 TEST(MultiMetro, TopologyHasOneGatewayPerMetroAndContiguousIds) {
@@ -380,23 +450,26 @@ TEST(ShardProblem, MembershipSwapFlagsBothShardsMoved) {
 
   core::ProblemConstants constants;
   constants.budget = 6000.0;
-  const core::Scenario scenario(fixture.topo.network, workload::tiny_catalog(),
-                                requests, constants);
+  core::Scenario scenario(fixture.topo.network, workload::tiny_catalog(),
+                          requests, constants);
   const ShardPlan plan =
       plan_from_metros(fixture.topo.metro_of, fixture.topo.metros);
-  auto shards = extract_shards(scenario, plan);
+  std::vector<ShardProblem> shards;
+  for (int s = 0; s < 2; ++s) shards.emplace_back(scenario, plan, s);
   ASSERT_EQ(shards[0].num_users(), 1);
   ASSERT_EQ(shards[1].num_users(), 1);
 
   std::swap(requests[0].attach_node, requests[1].attach_node);
-  EXPECT_TRUE(shards[0].set_requests(requests));
-  EXPECT_TRUE(shards[1].set_requests(requests));
+  scenario.set_requests(requests);
+  EXPECT_TRUE(shards[0].sync());
+  EXPECT_TRUE(shards[1].sync());
   EXPECT_EQ(shards[0].to_global_user(0), 1);
   EXPECT_EQ(shards[1].to_global_user(0), 0);
 
-  // Feeding the identical workload again moves nothing.
-  EXPECT_FALSE(shards[0].set_requests(requests));
-  EXPECT_FALSE(shards[1].set_requests(requests));
+  // Re-reading the identical workload moves nothing.
+  scenario.set_requests(requests);
+  EXPECT_FALSE(shards[0].sync());
+  EXPECT_FALSE(shards[1].sync());
 }
 
 TEST(ShardedSoCL, QuietAndZeroBudgetSlotsNeverRepriceOrNaN) {
@@ -412,12 +485,12 @@ TEST(ShardedSoCL, QuietAndZeroBudgetSlotsNeverRepriceOrNaN) {
   const core::Scenario empty_scenario(fixture.topo.network,
                                       workload::tiny_catalog(), {}, constants);
   ShardedSoCL solver(empty_scenario, plan);
-  const auto first = solver.step({});
-  EXPECT_TRUE(first.repriced);  // the implicit first solve
-  EXPECT_FALSE(std::isnan(first.solution.duality_gap));
-  EXPECT_DOUBLE_EQ(first.solution.duality_gap, 0.0);
-  EXPECT_TRUE(first.solution.converged);
-  const auto quiet = solver.step({});
+  EXPECT_TRUE(solver.step().repriced);  // the implicit first solve
+  const ShardedSolution solved = solver.solve();
+  EXPECT_FALSE(std::isnan(solved.duality_gap));
+  EXPECT_DOUBLE_EQ(solved.duality_gap, 0.0);
+  EXPECT_TRUE(solved.converged);
+  const auto quiet = solver.step();
   EXPECT_FALSE(quiet.repriced);
   EXPECT_EQ(quiet.shards_resolved, 0);
 
@@ -428,9 +501,8 @@ TEST(ShardedSoCL, QuietAndZeroBudgetSlotsNeverRepriceOrNaN) {
   const core::Scenario zero_scenario(fixture.topo.network,
                                      workload::tiny_catalog(), {}, zero);
   ShardedSoCL zero_solver(zero_scenario, plan);
-  const auto zero_first = zero_solver.step({});
-  EXPECT_FALSE(std::isnan(zero_first.solution.duality_gap));
-  const auto zero_quiet = zero_solver.step({});
+  EXPECT_FALSE(std::isnan(zero_solver.solve().duality_gap));
+  const auto zero_quiet = zero_solver.step();
   EXPECT_FALSE(zero_quiet.repriced);
   EXPECT_EQ(zero_quiet.shards_resolved, 0);
 }
