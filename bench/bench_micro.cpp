@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // routing DP, the scoring kernel, virtual-link construction, latency-loss
 // updates, the simplex engine, the end-to-end SoCL solve, the sharded
-// price search, request-class aggregation of a 100k-user population, and a
-// serving slot's data plane (arrival generation and one DES window).
+// price search, request-class aggregation of a 100k-user population, a
+// serving slot's data plane (arrival generation and one DES window), and the
+// thread pool's fan-out dispatch.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -188,8 +190,8 @@ BENCHMARK(BM_ScoreKernelClassCost)->ArgName("warm")->Arg(0)->Arg(1);
 // 4-metro × 6-node substrate with the eshop catalogue: 400 template users
 // replicated to 2000, under a budget tight enough that the search runs 15
 // priced iterates and stops on the bracket rule, like the re-prices of a
-// chaos_sharded day. perfbench's pin: 2 shard workers × 2 combination
-// threads, so the case reports wall time.
+// chaos_sharded day. perfbench's pin: 2 shard lanes × 2 combination lanes
+// (each the calling thread plus one worker), so the case reports wall time.
 void BM_ShardedPriceSearch(benchmark::State& state) {
   static const auto setup = [] {
     net::MultiMetroConfig config;
@@ -235,7 +237,7 @@ serverless::ArrivalConfig serving_day_arrivals() {
 }
 
 // workers:1 draws serially (no pool); workers:2 draws the same stream in
-// blocks on a 2-worker pool, as a ServingLoop with perfbench's 2 runtime
+// blocks on a 2-lane pool, as a ServingLoop with perfbench's 2 runtime
 // threads does.
 void BM_GenerateArrivals(benchmark::State& state) {
   const int users = 100'000;
@@ -262,7 +264,7 @@ BENCHMARK(BM_GenerateArrivals)
 // One serving_day-sized DES window: the perfbench serving_day geometry (16
 // nodes, 200 templates replicated to 100k users) after its first replan,
 // serving BM_GenerateArrivals' stream under the Alg. 2 pre-warm policy with
-// the replan's placement carried, its route tables on a lent 2-worker pool
+// the replan's placement carried, its route tables on a lent 2-lane pool
 // (perfbench's 2 runtime threads), as the serving loop lends its own.
 void BM_DesWindow(benchmark::State& state) {
   static const auto loop = [] {
@@ -298,6 +300,30 @@ void BM_DesWindow(benchmark::State& state) {
   state.counters["invocations"] = static_cast<double>(invocations);
 }
 BENCHMARK(BM_DesWindow)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One fan-out on perfbench's 2-lane pool (the calling thread plus one
+// worker): n:16 work_us:0 is dispatch alone; n:64 work_us:5 spins about 5 µs
+// per iteration, the size of a per-shard scoring fan-out on chaos_sharded.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto work = std::chrono::microseconds(state.range(1));
+  util::ThreadPool pool(2);
+  std::vector<std::size_t> out(n);
+  for (auto _ : state) {
+    pool.parallel_for(n, [&](std::size_t i) {
+      const auto until = std::chrono::steady_clock::now() + work;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      out[i] = i;
+    });
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgNames({"n", "work_us"})
+    ->Args({16, 0})
+    ->Args({64, 5})
+    ->UseRealTime();
 
 // Population ingest at serving_day size: 200 templates on 16 nodes
 // replicated to 100k users with seeded attach nodes (3,200 classes),

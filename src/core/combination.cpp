@@ -23,6 +23,16 @@ constexpr double kParallelSlack = 1.6;
 /// The polish makes at most 4 · |M| · kRelocationSweeps moves.
 constexpr int kRelocationSweeps = 3;
 
+/// `placement` copied into the scoring lane's trial buffer.
+Placement& trial_of(ScoreKernel::Arena& arena, const Placement& placement) {
+  if (arena.trial) {
+    *arena.trial = placement;
+  } else {
+    arena.trial.emplace(placement);
+  }
+  return *arena.trial;
+}
+
 }  // namespace
 
 Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
@@ -605,7 +615,7 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     const auto scores = engine_.score_candidates(
         losses.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
-          Placement trial = placement;
+          Placement& trial = trial_of(ctx.arena, placement);
           trial.remove(losses[i].service, losses[i].node);
           return score_move(trial, losses[i].service, losses[i].node, exact,
                             ctx);
@@ -754,7 +764,7 @@ void Combiner::descend_to_budget(Placement& placement) const {
     const auto scores = engine_.score_candidates(
         losses.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
-          Placement trial = placement;
+          Placement& trial = trial_of(ctx.arena, placement);
           trial.remove(losses[i].service, losses[i].node);
           return score_move(trial, losses[i].service, losses[i].node, exact,
                             ctx);
@@ -858,7 +868,7 @@ void Combiner::polish_descend(Placement& placement) const {
         candidates.size(),
         [&](std::size_t i, RoutingEngine::ScoreContext& ctx) {
           const Move& move = candidates[i];
-          Placement trial = placement;
+          Placement& trial = trial_of(ctx.arena, placement);
           apply(trial, move);
           return score_move(
               trial, move.service,

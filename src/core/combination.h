@@ -38,11 +38,12 @@ struct CombinationConfig {
   double omega = 0.2;
   /// Disturbance factor Θ: tolerated objective rise per serial move.
   double theta = 25.0;
-  /// Worker threads (0 = hardware concurrency) of the parallel stage and
-  /// the routing engine's scoring pool. Any value but 1 also fans candidate
-  /// scoring out over that pool and descends the multi-start's dense basin
-  /// on a helper thread beside the serial stage and polish; 1 keeps the
-  /// whole run on the calling thread. Results and work counters are the
+  /// Lanes, the calling thread included (0 = hardware concurrency), of the
+  /// parallel stage and the routing engine's scoring pool, which starts one
+  /// thread fewer. Any value but 1 also fans candidate scoring out over
+  /// that pool and descends the multi-start's dense basin on a helper
+  /// thread beside the serial stage and polish; 1 keeps the whole run on
+  /// the calling thread. Results and work counters are the
   /// same either way (the determinism tests in test_routing_engine and
   /// test_combination enforce it).
   int threads = 0;

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/routing.h"
@@ -128,6 +129,10 @@ class ScoreKernel {
 
     /// The connection-rule estimate's per-move buffers (not used by the DP).
     EstimateScratch estimate;
+    /// The combiner's trial placement: a scored move copy-assigns the
+    /// current placement here instead of copy-constructing one, so it
+    /// allocates nothing once the buffer exists.
+    std::optional<Placement> trial;
   };
 
   /// Default byte budget for the precomputed link-delay tables (d_in rows,

@@ -112,8 +112,9 @@ struct ServingConfig {
   /// Force a replan every N slots (0 = only on drift / coverage loss).
   int full_replan_period = 8;
   /// The DES windows' runtime. `runtime.threads` sizes the loop's one
-  /// data-plane pool, which draws each slot's arrival stream and fans out
-  /// the DES route tables (1 = serial, no pool).
+  /// data-plane pool in lanes, the loop's thread included, which draws
+  /// each slot's arrival stream and fans out the DES route tables (1 =
+  /// serial, no pool).
   serverless::ServerlessConfig runtime;
   /// Arrival process template: `mean_rate` is the per-user base rate, scaled
   /// per slot by the diurnal + bursty day profile; `horizon_s` is overridden
@@ -379,9 +380,9 @@ class ServingLoop {
   /// Alg. 2 quota snapshot from the previous slot (ms × nodes), the
   /// pre-warm lookahead's prediction of where demand concentrates next.
   std::vector<std::uint8_t> prewarm_snapshot_;
-  /// The data plane's workers (arrival streams, DES route tables), sized by
-  /// config.runtime.threads; built by the first serve_windows, never when
-  /// threads == 1.
+  /// The data plane's pool (arrival streams, DES route tables), sized in
+  /// lanes by config.runtime.threads; built by the first serve_windows,
+  /// never when threads == 1.
   std::unique_ptr<util::ThreadPool> data_pool_;
 
   ServingReport report_;

@@ -63,9 +63,10 @@ struct ServerlessConfig {
   /// Resolution of the emitted cold-start-rate / pool-utilisation series
   /// (0 disables the series).
   int series_bins = 0;
-  /// Workers of a serving loop's data-plane pool (1 = serial, no pool;
-  /// 0 = hardware concurrency), which draws each slot's arrival stream and
-  /// fans out the route-table precompute of the runtime it is lent to.
+  /// Lanes of a serving loop's data-plane pool, the calling thread included
+  /// (1 = serial, no pool; 0 = hardware concurrency), which draws each
+  /// slot's arrival stream and fans out the route-table precompute of the
+  /// runtime it is lent to.
   /// ServerlessRuntime itself does not read this: it fans out exactly when
   /// constructed with a pool. Results are bit-identical for any value.
   int threads = 1;

@@ -229,9 +229,11 @@ void ShardedSoCL::solve_all_shards(double price,
   if (shards == 1) {
     solve_shard(0);  // nothing to fan out: solve on the caller's thread
   } else {
-    util::ThreadPool pool(static_cast<std::size_t>(
-        params_.threads > 0 ? params_.threads : 0));
-    pool.parallel_for(shards, solve_shard);
+    if (!pool_) {
+      pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(
+          params_.threads > 0 ? params_.threads : 0));
+    }
+    pool_->parallel_for(shards, solve_shard);
   }
   // Every per-shard solve of the price search and the quota fallback,
   // observed on the coordinator thread in shard order (shard_solve_s sees

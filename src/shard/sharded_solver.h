@@ -25,12 +25,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/online.h"
 #include "core/socl.h"
 #include "shard/shard_plan.h"
+#include "util/thread_pool.h"
 
 namespace socl::obs {
 class ObsSink;
@@ -84,9 +86,11 @@ struct ShardedParams {
   /// 24 covers clearing prices up to ~10^6 with a fine final bracket.
   int max_iterations = 24;
   double initial_step = 0.75;
-  /// Worker threads fanning shard solves out (0 = hardware concurrency).
+  /// Lanes of the shard fan-out, the calling thread included (0 = hardware
+  /// concurrency).
   int threads = 0;
-  /// Per-shard combination threads override (0 = keep solver.combination).
+  /// Per-shard combination lanes override, the calling thread included
+  /// (0 = keep solver.combination).
   /// Many-shard sweeps set a small value to bound thread oversubscription;
   /// results never depend on it (deterministic parallel scoring).
   int shard_threads = 0;
@@ -176,7 +180,7 @@ class ShardedSoCL {
   void set_shard_constants(std::size_t s, double price,
                            const std::vector<double>* quotas);
   /// Cold-solves every shard at `price` (or under `quotas`), fanning out
-  /// over the pool; results land by shard index.
+  /// over pool_; results land by shard index.
   void solve_all_shards(double price, const std::vector<double>* quotas,
                         std::vector<core::Solution>& out,
                         std::vector<double>& solve_s);
@@ -203,6 +207,9 @@ class ShardedSoCL {
   DualState dual_;
   /// Warm serving rungs, one per shard (built by the first solve()).
   std::vector<core::OnlineSoCL> online_rungs_;
+  /// The shard fan-out's pool, built by the first multi-shard fan-out and
+  /// kept for every later price iterate, fallback and re-price.
+  std::unique_ptr<util::ThreadPool> pool_;
 
   /// Serving state: the accepted per-shard solutions (no assignments
   /// between calls) and the frozen coordination signals they were

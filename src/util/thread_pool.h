@@ -1,71 +1,74 @@
-// Fixed-size worker pool used by SoCL's parallel large-scale combination
-// stage (Algorithm 3, lines 1-5) and by benchmark scenario sweeps.
+// Fan-out pool used by SoCL's parallel large-scale combination stage
+// (Algorithm 3, lines 1-5), the shard fan-out, the serving data plane and
+// benchmark scenario sweeps.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace socl::util {
 
-/// Simple task-queue thread pool. Tasks may not block on each other; the
-/// library only submits independent leaf work (per-instance latency-loss
-/// evaluation, per-scenario benchmark runs).
+/// A pool of size() lanes: the calling thread plus size() - 1 workers.
+///
+/// A fan-out runs lane 0 on the thread that calls it. Its helper lanes are
+/// plain queue entries that idle workers pick up, and every lane pulls
+/// indices from one shared counter. The caller waits only for helpers that
+/// claimed an index (a short spin, then a condition variable) and withdraws
+/// the lanes no worker took, so it never sleeps on a worker that is busy
+/// elsewhere. A fan-out called from inside an iteration (on this pool or
+/// another) therefore always completes, at worst on its calling thread
+/// alone.
 class ThreadPool {
  public:
-  /// Creates `threads` workers (defaults to hardware concurrency, min 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// A pool of `lanes` lanes, which starts lanes - 1 worker threads
+  /// (0 = hardware concurrency, min 1; one lane runs every fan-out inline).
+  explicit ThreadPool(std::size_t lanes = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Lanes, the caller's included: the widest fan-out this pool runs.
+  std::size_t size() const { return workers_.size() + 1; }
 
-  /// Enqueues a callable; returns a future for its result.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using Result = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        std::forward<F>(fn));
-    std::future<Result> result = task->get_future();
-    {
-      std::scoped_lock lock(mutex_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool::submit after shutdown");
-      }
-      tasks_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
-
-  /// Runs fn(i) for i in [0, n), blocking until all iterations finish.
-  /// Exceptions from iterations are rethrown (first one wins).
+  /// Runs fn(i) for i in [0, n), returning once every iteration has.
+  /// The first exception an iteration throws is rethrown after every
+  /// iteration that had started returns; no lane starts a new one after it.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Like parallel_for, but passes the dense worker slot (0 <= worker <
-  /// min(n, size())) executing the iteration, so callers can maintain
-  /// per-worker scratch state without locking. A given slot never runs two
-  /// iterations concurrently.
+  /// Like parallel_for, but passes the lane (0 <= worker < min(n, size());
+  /// 0 is the calling thread) running the iteration, so callers can keep
+  /// per-lane scratch state without locking. Within one call a lane never
+  /// runs two iterations concurrently; lanes of different calls (nested or
+  /// concurrent) are independent and may share numbers.
   void parallel_for_workers(
       std::size_t n,
       const std::function<void(std::size_t worker, std::size_t i)>& fn);
 
  private:
+  struct Job;
+
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  /// Guards jobs_ and stopping_; workers wait on cv_ for either to change.
   std::mutex mutex_;
   std::condition_variable cv_;
+  /// Fan-outs with helper lanes still on offer.
+  std::deque<Job*> jobs_;
   bool stopping_ = false;
+  /// Where callers sleep once their spin gives up. Helpers leave a fan-out
+  /// under done_mutex_, and the last one notifies. Pool-owned, so that
+  /// helper never touches a fan-out its caller may already have returned
+  /// from.
+  std::mutex done_mutex_;
+  std::condition_variable done_cv_;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace socl::util
