@@ -124,13 +124,6 @@ void Combiner::fill_connections(const Placement& placement,
   }
 }
 
-Combiner::ChainView Combiner::request_chain(
-    const workload::UserRequest& request) {
-  return {request.chain.data(), request.chain.size(),
-          request.edge_data.data(), request.attach_node,
-          request.data_in,      request.data_out};
-}
-
 Combiner::ChainView Combiner::class_chain(const workload::ClassDemandSoA& soa,
                                           int c) {
   const auto i = static_cast<std::size_t>(c);
@@ -191,11 +184,12 @@ double Combiner::estimate_class(const ScoreKernel& view,
 
 double Combiner::estimated_completion(const workload::UserRequest& request,
                                       const Placement& placement) const {
-  return estimate_chain(request_chain(request),
-                        class_view().compute_times(), [&](MsId m) {
-                          return connection_at(request.attach_node, m,
-                                               placement);
-                        });
+  const ChainView chain{request.chain.data(),      request.chain.size(),
+                        request.edge_data.data(), request.attach_node,
+                        request.data_in,          request.data_out};
+  return estimate_chain(chain, class_view().compute_times(), [&](MsId m) {
+    return connection_at(request.attach_node, m, placement);
+  });
 }
 
 double Combiner::estimated_objective(const Placement& placement) const {
@@ -217,7 +211,7 @@ double Combiner::refresh_estimate_cache(const Placement& placement) const {
   auto& cache = estimate_;
   cache.view = &class_view();
   const auto& soa = cache.view->soa();
-  fill_connections(placement, cache.connection, serial_scratch_.hosts);
+  fill_connections(placement, cache.connection, refresh_hosts_);
   const auto count = static_cast<std::size_t>(soa.num_classes());
   cache.completion.resize(count);
   double latency = 0.0;
@@ -264,11 +258,6 @@ double Combiner::reestimate(int c, MsId changed,
                    : cache.connection[static_cast<std::size_t>(m) * nodes +
                                       attach];
       });
-}
-
-double Combiner::estimated_objective_with_change(const Placement& trial,
-                                                 MsId changed) const {
-  return estimated_objective_with_change(trial, changed, serial_scratch_);
 }
 
 double Combiner::estimated_objective_with_change(

@@ -123,7 +123,10 @@ class Combiner {
   /// `placement` (upper-bounds the exact router's D_h). Reads the class
   /// view, which it first syncs to the workload epoch (possibly rebuilding
   /// the engine's class index and kernel view): call from serial code only,
-  /// never concurrently with another entry point of this combiner.
+  /// never concurrently with another entry point of this combiner. No
+  /// shipped binary calls it: it is the per-request, from-scratch oracle
+  /// the class-view estimates (violates_deadline, the estimate cache) are
+  /// tested against.
   double estimated_completion(const workload::UserRequest& request,
                               const Placement& placement) const;
 
@@ -149,10 +152,11 @@ class Combiner {
   /// move can touch. Serial code only.
   double refresh_estimate_cache(const Placement& placement) const;
   /// estimated_objective(trial), bitwise, assuming `trial` differs from the
-  /// cached placement only in instances of microservice `changed`. Uses the
-  /// combiner's serial scratch: serial code only.
-  double estimated_objective_with_change(const Placement& trial,
-                                         MsId changed) const;
+  /// cached placement only in instances of microservice `changed`. Writes
+  /// only `scratch`, so score_candidates workers may call it concurrently,
+  /// each with its arena's scratch.
+  double estimated_objective_with_change(const Placement& trial, MsId changed,
+                                         EstimateScratch& scratch) const;
 
   /// The incremental routing engine backing all exact scoring: its per-class
   /// route cache reroutes only the classes a move can touch (DESIGN.md §4c).
@@ -223,7 +227,6 @@ class Combiner {
     double data_in;
     double data_out;
   };
-  static ChainView request_chain(const workload::UserRequest& request);
   static ChainView class_chain(const workload::ClassDemandSoA& soa, int c);
   /// The flat class view every class-indexed estimate reads: the engine's
   /// kernel, synced to the workload epoch; call from serial code only.
@@ -253,8 +256,6 @@ class Combiner {
   /// D̃ of class c under the trial whose row connection_row_moved filled:
   /// the cached connections with the changed service's row swapped in.
   double reestimate(int c, MsId changed, const EstimateScratch& scratch) const;
-  double estimated_objective_with_change(const Placement& trial, MsId changed,
-                                         EstimateScratch& scratch) const;
   /// Refreshes the cache of the scoring regime in force (`exact`: the
   /// engine's route cache; otherwise the estimate cache) and returns the
   /// objective of `placement` under that regime.
@@ -290,8 +291,8 @@ class Combiner {
     double latency_sum = 0.0;
   };
   mutable EstimateCache estimate_;
-  /// Scratch of the serial estimated_objective_with_change entry point.
-  mutable EstimateScratch serial_scratch_;
+  /// Hosts buffer of the serial refresh_estimate_cache.
+  mutable std::vector<NodeId> refresh_hosts_;
   /// Classes re-estimated by estimated_objective_with_change; counted only
   /// while a sink is attached (`socl.combination.classes_reestimated`).
   mutable std::atomic<std::int64_t> classes_reestimated_{0};

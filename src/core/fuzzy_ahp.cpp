@@ -9,7 +9,6 @@ namespace socl::core {
 TriFuzzy fuzzy_equal() { return {1.0, 1.0, 1.0}; }
 TriFuzzy fuzzy_moderate() { return {2.0, 3.0, 4.0}; }
 TriFuzzy fuzzy_strong() { return {4.0, 5.0, 6.0}; }
-TriFuzzy fuzzy_very_strong() { return {6.0, 7.0, 8.0}; }
 
 std::vector<double> buckley_weights(
     const std::vector<std::vector<TriFuzzy>>& comparison) {

@@ -27,7 +27,6 @@ struct TriFuzzy {
 TriFuzzy fuzzy_equal();         // (1, 1, 1)
 TriFuzzy fuzzy_moderate();      // (2, 3, 4): row moderately more important
 TriFuzzy fuzzy_strong();        // (4, 5, 6)
-TriFuzzy fuzzy_very_strong();   // (6, 7, 8)
 
 /// Buckley geometric-mean weights of a square fuzzy comparison matrix.
 /// The returned crisp weights sum to 1. Throws on non-square input.

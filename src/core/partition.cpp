@@ -5,21 +5,6 @@
 
 namespace socl::core {
 
-int MsPartition::group_of(NodeId k) const {
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (std::find(groups[s].begin(), groups[s].end(), k) != groups[s].end()) {
-      return static_cast<int>(s);
-    }
-  }
-  return -1;
-}
-
-std::size_t MsPartition::total_nodes() const {
-  std::size_t total = 0;
-  for (const auto& group : groups) total += group.size();
-  return total;
-}
-
 double proactive_factor(const Scenario& scenario, MsId m,
                         std::span<const NodeId> group, NodeId eta, NodeId a) {
   const auto& vlinks = scenario.vlinks();

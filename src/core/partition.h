@@ -30,10 +30,6 @@ struct PartitionConfig {
 /// first in each group, candidates are appended.
 struct MsPartition {
   std::vector<std::vector<NodeId>> groups;
-
-  /// Group index containing node k, or -1.
-  int group_of(NodeId k) const;
-  std::size_t total_nodes() const;
 };
 
 /// P = {P(m_i)}, indexed by MsId.

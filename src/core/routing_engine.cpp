@@ -238,13 +238,6 @@ double RoutingEngine::objective_without(MsId m, NodeId k,
   return combine(trial.deployment_cost(scenario_->catalog()), latency);
 }
 
-double RoutingEngine::objective_without(MsId m, NodeId k,
-                                        const Placement& trial) {
-  SlotLease lease(*this);
-  ScoreContext ctx = lease.context();
-  return objective_without(m, k, trial, ctx);
-}
-
 double RoutingEngine::objective_with_change(const Placement& trial,
                                             MsId changed,
                                             ScoreContext& ctx) const {

@@ -144,7 +144,6 @@ class RoutingEngine {
   /// checked, so chains visiting m twice score correctly).
   double objective_without(MsId m, NodeId k, const Placement& trial,
                            ScoreContext& ctx) const;
-  double objective_without(MsId m, NodeId k, const Placement& trial);
 
   /// Exact objective of `trial`, assuming it differs from the cached
   /// placement only in instances of microservice `changed`.

@@ -95,16 +95,6 @@ struct SearchState {
 
 }  // namespace
 
-const char* to_string(ExactStatus status) {
-  switch (status) {
-    case ExactStatus::kOptimal: return "optimal";
-    case ExactStatus::kIncumbent: return "incumbent";
-    case ExactStatus::kTimedOut: return "timed-out";
-    case ExactStatus::kInfeasible: return "infeasible";
-  }
-  return "unknown";
-}
-
 ExactResult solve_exact(const core::Scenario& scenario,
                         const ExactOptions& options) {
   if (scenario.num_nodes() > 16) {

@@ -28,8 +28,6 @@ enum class ExactStatus {
   kInfeasible,  ///< full search completed; no feasible placement exists
 };
 
-const char* to_string(ExactStatus status);
-
 struct ExactResult {
   bool found = false;
   bool timed_out = false;

@@ -104,20 +104,6 @@ EdgeNetwork apply_failures(const EdgeNetwork& network,
   return degraded;
 }
 
-bool survivors_connected(const EdgeNetwork& degraded,
-                         const std::vector<NodeId>& failed_nodes) {
-  FailureMasks masks;
-  masks.node.assign(degraded.num_nodes(), 0);
-  masks.link.assign(degraded.num_links(), 0);
-  for (const NodeId k : failed_nodes) {
-    if (k < 0 || static_cast<std::size_t>(k) >= degraded.num_nodes()) continue;
-    masks.node[static_cast<std::size_t>(k)] = 1;
-  }
-  std::vector<std::uint8_t> visited;
-  std::vector<NodeId> queue;
-  return survivors_connected_masked(degraded, masks, visited, queue);
-}
-
 bool survivors_connected(const EdgeNetwork& network,
                          const FailureMasks& masks) {
   if (masks.node.size() != network.num_nodes() ||

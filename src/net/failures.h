@@ -58,17 +58,13 @@ FailurePlan random_failures(const EdgeNetwork& network,
                             util::Rng& rng,
                             bool keep_survivors_connected = true);
 
-/// True when every non-failed node can reach every other non-failed node in
-/// the degraded network (links of zero rate are not traversable, matching
-/// routing). Vacuously true when zero or one survivor remains, including
-/// the all-nodes-failed and empty-network cases.
-bool survivors_connected(const EdgeNetwork& degraded,
-                         const std::vector<NodeId>& failed_nodes);
-
-/// Mask-based overload on the ORIGINAL (healthy) network: connectivity of
-/// the survivors through links that are alive in `masks`. No degraded
-/// network is materialised — this is the O(nodes + links) inner loop of
-/// plan sampling and the chaos schedule's guard.
+/// True when every non-failed node of `network` can reach every other
+/// non-failed node through links that are alive in `masks` (links of zero
+/// rate are not traversable, matching routing). Vacuously true when zero or
+/// one survivor remains, including the all-nodes-failed and empty-network
+/// cases. Runs on the ORIGINAL (healthy) network: no degraded network is
+/// materialised — this is the O(nodes + links) inner loop of plan sampling
+/// and the chaos schedule's guard.
 bool survivors_connected(const EdgeNetwork& network,
                          const FailureMasks& masks);
 

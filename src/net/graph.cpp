@@ -59,18 +59,6 @@ bool EdgeNetwork::has_link(NodeId a, NodeId b) const {
   return false;
 }
 
-double EdgeNetwork::link_rate(NodeId a, NodeId b) const {
-  // With parallel links the strongest one is the direct-link rate.
-  double best = 0.0;
-  for (const auto& inc : neighbors(a)) {
-    if (inc.neighbor == b) {
-      best = std::max(best,
-                      links_[static_cast<std::size_t>(inc.link)].rate_gbps);
-    }
-  }
-  return best;
-}
-
 bool EdgeNetwork::connected() const {
   if (nodes_.empty()) return true;
   std::vector<bool> seen(nodes_.size(), false);

@@ -95,9 +95,6 @@ class EdgeNetwork {
   std::size_t degree(NodeId k) const { return adjacency_.at(checked(k)).size(); }
 
   bool has_link(NodeId a, NodeId b) const;
-  /// Rate of the direct link a-b (the strongest one when links are
-  /// parallel); 0 if absent.
-  double link_rate(NodeId a, NodeId b) const;
 
   /// True when every node can reach every other node.
   bool connected() const;

@@ -67,18 +67,6 @@ ShortestPaths::ShortestPaths(const EdgeNetwork& network)
 
 int ShortestPaths::hops(NodeId a, NodeId b) const { return hops_[idx(a, b)]; }
 
-std::vector<NodeId> ShortestPaths::path(NodeId a, NodeId b) const {
-  if (hops(a, b) == unreachable()) return {};
-  std::vector<NodeId> reversed;
-  for (NodeId cur = b; cur != kInvalidNode && cur != a;
-       cur = parent_[idx(a, cur)]) {
-    reversed.push_back(cur);
-  }
-  reversed.push_back(a);
-  std::reverse(reversed.begin(), reversed.end());
-  return reversed;
-}
-
 std::vector<LinkId> ShortestPaths::path_links(NodeId a, NodeId b) const {
   // Walk the recorded parent links instead of re-deriving incidences: with
   // parallel edges the first incident link between two path nodes can be a

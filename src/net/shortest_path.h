@@ -28,17 +28,15 @@ class ShortestPaths {
     return hops(a, b) != unreachable();
   }
 
-  /// Node sequence a, ..., b (inclusive). Empty when unreachable;
-  /// {a} when a == b.
-  std::vector<NodeId> path(NodeId a, NodeId b) const;
-
-  /// Link ids along path(a, b); empty when a == b or unreachable. The ids
-  /// are the exact links the BFS tie-break selected, so on parallel edges
-  /// they are consistent with bottleneck_rate / inverse_rate_sum.
+  /// Link ids along the min-hop path from a to b; empty when a == b or
+  /// unreachable. The ids are the exact links the BFS tie-break selected,
+  /// so on parallel edges they are consistent with bottleneck_rate /
+  /// inverse_rate_sum.
   std::vector<LinkId> path_links(NodeId a, NodeId b) const;
 
   /// Minimum link rate along the min-hop path (bottleneck bandwidth);
-  /// +inf when a == b, 0 when unreachable.
+  /// +inf when a == b, 0 when unreachable. No shipped binary calls it: it is
+  /// the bound VirtualLinks::rate is tested against.
   double bottleneck_rate(NodeId a, NodeId b) const;
 
   /// Sum of 1/rate over the path links: transfer of r data units takes

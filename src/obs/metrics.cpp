@@ -229,8 +229,6 @@ util::Table MetricsSnapshot::to_table() const {
   return table;
 }
 
-std::string MetricsSnapshot::to_csv() const { return to_table().to_csv(); }
-
 void MetricsSnapshot::write_csv(const std::string& path) const {
   to_table().write_csv(path);
 }

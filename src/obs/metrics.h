@@ -90,7 +90,6 @@ struct MetricsSnapshot {
   /// metric,kind,count,value,sum,min,max,mean (empty cells where a column
   /// does not apply to the kind).
   util::Table to_table() const;
-  std::string to_csv() const;
   void write_csv(const std::string& path) const;
 
   /// Full-fidelity JSON: histograms include their bucket arrays

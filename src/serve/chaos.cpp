@@ -183,40 +183,4 @@ ChaosSchedule::ChaosSchedule(const net::EdgeNetwork& healthy,
   }
 }
 
-int ChaosSchedule::total_node_failures() const {
-  int total = 0;
-  for (const SlotChaos& s : schedule_) total += s.nodes_failed_now;
-  return total;
-}
-
-int ChaosSchedule::total_link_failures() const {
-  int total = 0;
-  for (const SlotChaos& s : schedule_) total += s.links_failed_now;
-  return total;
-}
-
-int ChaosSchedule::total_repairs() const {
-  int total = 0;
-  for (const SlotChaos& s : schedule_) {
-    total += s.nodes_repaired_now + s.links_repaired_now;
-  }
-  return total;
-}
-
-int ChaosSchedule::flash_slots() const {
-  int total = 0;
-  for (const SlotChaos& s : schedule_) {
-    if (s.flash_multiplier > 1.0) ++total;
-  }
-  return total;
-}
-
-int ChaosSchedule::degraded_slots() const {
-  int total = 0;
-  for (const SlotChaos& s : schedule_) {
-    if (s.degraded()) ++total;
-  }
-  return total;
-}
-
 }  // namespace socl::serve

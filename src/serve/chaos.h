@@ -87,13 +87,6 @@ class ChaosSchedule {
   }
   int slots() const { return static_cast<int>(schedule_.size()); }
 
-  // Day totals, for socl.chaos.* metrics and schedule non-triviality gates.
-  int total_node_failures() const;
-  int total_link_failures() const;
-  int total_repairs() const;
-  int flash_slots() const;
-  int degraded_slots() const;
-
  private:
   std::vector<SlotChaos> schedule_;
 };

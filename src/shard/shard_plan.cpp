@@ -1,9 +1,7 @@
 #include "shard/shard_plan.h"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace socl::shard {
 
@@ -36,39 +34,6 @@ ShardPlan plan_from_metros(const std::vector<int>& metro_of, int metros) {
     if (nodes.empty()) {
       throw std::invalid_argument("plan_from_metros: empty metro");
     }
-  }
-  return plan;
-}
-
-ShardPlan plan_from_components(const net::EdgeNetwork& network,
-                               std::span<const net::LinkId> cut_links) {
-  const std::unordered_set<net::LinkId> cut(cut_links.begin(),
-                                            cut_links.end());
-  const auto n = static_cast<int>(network.num_nodes());
-  ShardPlan plan;
-  plan.shard_of.assign(static_cast<std::size_t>(n), -1);
-  std::vector<net::NodeId> stack;
-  for (net::NodeId start = 0; start < n; ++start) {
-    if (plan.shard_of[static_cast<std::size_t>(start)] != -1) continue;
-    const int shard = plan.num_shards();
-    plan.nodes.emplace_back();
-    stack.assign(1, start);
-    plan.shard_of[static_cast<std::size_t>(start)] = shard;
-    while (!stack.empty()) {
-      const net::NodeId k = stack.back();
-      stack.pop_back();
-      plan.nodes[static_cast<std::size_t>(shard)].push_back(k);
-      for (const auto& inc : network.neighbors(k)) {
-        if (cut.contains(inc.link)) continue;
-        if (plan.shard_of[static_cast<std::size_t>(inc.neighbor)] != -1) {
-          continue;
-        }
-        plan.shard_of[static_cast<std::size_t>(inc.neighbor)] = shard;
-        stack.push_back(inc.neighbor);
-      }
-    }
-    std::sort(plan.nodes[static_cast<std::size_t>(shard)].begin(),
-              plan.nodes[static_cast<std::size_t>(shard)].end());
   }
   return plan;
 }

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/placement.h"
@@ -48,12 +47,6 @@ ShardPlan single_shard_plan(const core::Scenario& scenario);
 /// One shard per metro from a multi-metro membership map
 /// (net::MultiMetroTopology::metro_of). Throws if a metro is empty.
 ShardPlan plan_from_metros(const std::vector<int>& metro_of, int metros);
-
-/// One shard per connected component of the network with `cut_links`
-/// removed — the Alg.-1-flavoured derivation: cutting the backhaul class
-/// recovers the metros, cutting nothing yields components as-is.
-ShardPlan plan_from_components(const net::EdgeNetwork& network,
-                               std::span<const net::LinkId> cut_links);
 
 /// One shard: an extracted, independent Scenario plus the id maps back into
 /// the global problem, or an alias of the whole global Scenario.

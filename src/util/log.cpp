@@ -1,12 +1,11 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace socl::util {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -24,12 +23,10 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
+LogLevel log_level() { return kMinLevel; }
 
 void log_message(LogLevel level, const std::string& message) {
-  if (level < g_level.load()) return;
+  if (level < kMinLevel) return;
   std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
 }
 

@@ -1,5 +1,5 @@
-// Minimal leveled logger. Benchmarks run at Info; tests at Warn to keep
-// ctest output clean. Not a general-purpose logging framework by design.
+// Minimal leveled logger with a fixed Info threshold. Not a general-purpose
+// logging framework by design.
 #pragma once
 
 #include <sstream>
@@ -9,8 +9,7 @@ namespace socl::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
+/// Minimum level (Info); messages below it are dropped.
 LogLevel log_level();
 
 /// Emits a single line `[LEVEL] message` to stderr if level passes the

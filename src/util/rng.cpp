@@ -54,15 +54,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * radius * std::cos(angle);
 }
 
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate <= 0");
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 std::uint64_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
   if (mean == 0.0) return 0;
@@ -94,7 +85,5 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
   }
   return weights.size() - 1;  // numerical fallback
 }
-
-Rng Rng::split() { return Rng((*this)()); }
 
 }  // namespace socl::util

@@ -59,9 +59,6 @@ class Rng {
   /// Standard normal via Box-Muller (cached second variate).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Exponential with the given rate (mean = 1/rate).
-  double exponential(double rate);
-
   /// Poisson-distributed count (Knuth for small means, normal approx above).
   std::uint64_t poisson(double mean);
 
@@ -106,9 +103,6 @@ class Rng {
   /// Weighted index selection proportional to non-negative weights.
   /// Requires at least one strictly positive weight.
   std::size_t weighted_index(std::span<const double> weights);
-
-  /// Derives an independent child generator (for per-worker streams).
-  Rng split();
 
  private:
   std::uint64_t s_[4];

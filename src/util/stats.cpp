@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace socl::util {
 namespace {
@@ -46,23 +46,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -83,10 +66,6 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return interpolate_rank(values[lo], values[hi], frac);
-}
-
-double median(std::vector<double> values) {
-  return percentile(std::move(values), 50.0);
 }
 
 std::vector<double> quantiles(std::vector<double> values,
@@ -158,76 +137,6 @@ double cosine_similarity(std::span<const double> a,
   }
   if (norm_a == 0.0 || norm_b == 0.0) return 0.0;
   return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-}
-
-double pearson_correlation(std::span<const double> a,
-                           std::span<const double> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("pearson_correlation: size mismatch");
-  }
-  if (a.empty()) return 0.0;
-  const double n = static_cast<double>(a.size());
-  double mean_a = 0.0, mean_b = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    mean_a += a[i];
-    mean_b += b[i];
-  }
-  mean_a /= n;
-  mean_b /= n;
-  double cov = 0.0, var_a = 0.0, var_b = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double da = a[i] - mean_a;
-    const double db = b[i] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a == 0.0 || var_b == 0.0) return 0.0;
-  return cov / std::sqrt(var_a * var_b);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: zero bins");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo >= hi");
-}
-
-void Histogram::add(double x) {
-  // casting a NaN (or an out-of-ptrdiff-range ±inf fraction) to an integer
-  // is undefined behaviour, so non-finite samples are tallied separately
-  // instead of being binned.
-  if (!std::isfinite(x)) {
-    ++non_finite_;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin + 1); }
-
-std::string Histogram::render(std::size_t bar_width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto width = static_cast<std::size_t>(
-        static_cast<double>(counts_[b]) / static_cast<double>(peak) *
-        static_cast<double>(bar_width));
-    out << '[' << bin_low(b) << ", " << bin_high(b) << ") "
-        << std::string(width, '#') << ' ' << counts_[b] << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace socl::util

@@ -1,12 +1,11 @@
-// Streaming statistics, percentiles, histograms, and set/vector similarity
-// measures used by the evaluation harness (Fig. 3 similarity analysis,
-// Fig. 9/10 latency aggregation).
+// Streaming statistics, percentiles and set/vector similarity measures used
+// by the evaluation harness (Fig. 3 similarity analysis, Fig. 9/10 latency
+// aggregation).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -16,7 +15,6 @@ namespace socl::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -38,11 +36,9 @@ class RunningStats {
 /// Percentile with linear interpolation; p in [0, 100]. Sorts a copy.
 /// ±inf samples are legal (interpolation next to one falls back to
 /// nearest-rank instead of producing NaN); a NaN sample throws
-/// std::invalid_argument, since NaN breaks the sort's ordering.
+/// std::invalid_argument, since NaN breaks the sort's ordering. No shipped
+/// binary calls it: it is the sort-based oracle quantiles() is tested against.
 double percentile(std::vector<double> values, double p);
-
-/// Median shortcut.
-double median(std::vector<double> values);
 
 /// Batch percentile extraction via nth_element instead of a full sort:
 /// returns one value per entry of `ps` (each in [0, 100], any order), with
@@ -60,37 +56,5 @@ double jaccard_similarity(const std::unordered_set<std::uint64_t>& a,
 
 /// Cosine similarity of two equal-length vectors; 0.0 if either is zero.
 double cosine_similarity(std::span<const double> a, std::span<const double> b);
-
-/// Pearson correlation coefficient; 0.0 when either side has no variance.
-double pearson_correlation(std::span<const double> a,
-                           std::span<const double> b);
-
-/// Fixed-width histogram over [lo, hi); finite values outside are clamped to
-/// the boundary bins, NaN/±inf samples land in a separate overflow counter.
-/// Used for latency distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  /// Number of finite samples binned so far (excludes non_finite()).
-  std::size_t total() const { return total_; }
-  /// Number of NaN/±inf samples seen (e.g. unroutable-request latencies).
-  std::size_t non_finite() const { return non_finite_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
-  /// Multi-line ASCII rendering (one row per bin with a proportional bar).
-  std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t non_finite_ = 0;
-};
 
 }  // namespace socl::util

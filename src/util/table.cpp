@@ -35,16 +35,6 @@ Table& Table::num(double value, int precision) {
 
 Table& Table::integer(long long value) { return cell(std::to_string(value)); }
 
-Table& Table::add_row(std::initializer_list<std::string> cells) {
-  row();
-  for (const auto& value : cells) cell(value);
-  return *this;
-}
-
-const std::string& Table::at(std::size_t row, std::size_t col) const {
-  return cells_.at(row).at(col);
-}
-
 std::string Table::render() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -22,12 +21,6 @@ class Table {
   Table& cell(std::string value);
   Table& num(double value, int precision = 3);
   Table& integer(long long value);
-
-  /// Convenience: append a full row at once.
-  Table& add_row(std::initializer_list<std::string> cells);
-
-  std::size_t rows() const { return cells_.size(); }
-  const std::string& at(std::size_t row, std::size_t col) const;
 
   /// Fixed-width rendering with a header rule.
   std::string render() const;

@@ -1,6 +1,5 @@
 #include "workload/catalog.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -44,12 +43,6 @@ double AppCatalog::total_single_instance_cost() const {
   double total = 0.0;
   for (const auto& ms : microservices_) total += ms.deploy_cost;
   return total;
-}
-
-double AppCatalog::max_storage() const {
-  double top = 0.0;
-  for (const auto& ms : microservices_) top = std::max(top, ms.storage);
-  return top;
 }
 
 const AppCatalog& eshop_catalog() {

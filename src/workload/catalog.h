@@ -46,9 +46,6 @@ class AppCatalog {
   /// (Σ_i κ(m_i)); the budget bound of Algorithm 2 builds on it.
   double total_single_instance_cost() const;
 
-  /// Maximum storage requirement across microservices.
-  double max_storage() const;
-
  private:
   std::string name_;
   std::vector<Microservice> microservices_;

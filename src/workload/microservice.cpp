@@ -4,7 +4,6 @@
 
 namespace socl::workload {
 
-bool UserRequest::uses(MsId m) const { return position_of(m) >= 0; }
 
 int UserRequest::position_of(MsId m) const {
   for (std::size_t pos = 0; pos < chain.size(); ++pos) {

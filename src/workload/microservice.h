@@ -50,8 +50,6 @@ struct UserRequest {
   /// Completion-time tolerance D_h^max (Eq. 4).
   double deadline = 1e9;
 
-  /// True when m appears anywhere in this request's chain.
-  bool uses(MsId m) const;
   /// Position of the FIRST occurrence of m in the chain, or -1. Callers
   /// that must see every occurrence (repeats are allowed) should scan the
   /// chain directly.

@@ -1,6 +1,6 @@
 #include "workload/mobility.h"
 
-#include <algorithm>
+#include <cstdint>
 
 #include "net/failures.h"
 
@@ -25,25 +25,6 @@ void mobility_step(const net::EdgeNetwork& network,
           static_cast<net::NodeId>(rng.weighted_index(weights));
     }
   }
-}
-
-std::vector<std::vector<net::NodeId>> mobility_trajectory(
-    const net::EdgeNetwork& network, std::vector<UserRequest> requests,
-    const std::vector<double>& weights, const MobilityConfig& config,
-    int slots, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::vector<net::NodeId>> trajectory;
-  trajectory.reserve(static_cast<std::size_t>(slots));
-  for (int slot = 0; slot < slots; ++slot) {
-    mobility_step(network, requests, weights, config, rng);
-    std::vector<net::NodeId> positions;
-    positions.reserve(requests.size());
-    for (const auto& request : requests) {
-      positions.push_back(request.attach_node);
-    }
-    trajectory.push_back(std::move(positions));
-  }
-  return trajectory;
 }
 
 int reattach_users(const net::EdgeNetwork& degraded,

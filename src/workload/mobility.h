@@ -5,7 +5,6 @@
 // hotspot-weighted station (vehicle/transit movement).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "net/graph.h"
@@ -29,13 +28,6 @@ void mobility_step(const net::EdgeNetwork& network,
                    std::vector<UserRequest>& requests,
                    const std::vector<double>& weights,
                    const MobilityConfig& config, util::Rng& rng);
-
-/// Convenience: runs `slots` steps and records the attach-node trajectory of
-/// every user (slot-major). Used by trace-replay tests.
-std::vector<std::vector<net::NodeId>> mobility_trajectory(
-    const net::EdgeNetwork& network, std::vector<UserRequest> requests,
-    const std::vector<double>& weights, const MobilityConfig& config,
-    int slots, std::uint64_t seed);
 
 /// Moves displaced users onto their nearest usable surviving station
 /// (net::failover_targets): users whose attach node failed, and users

@@ -59,8 +59,6 @@ TEST(ChaosSchedule, DisabledOrDegenerateDaysStayHealthy) {
     EXPECT_FALSE(disabled.slot(s).degraded());
     EXPECT_DOUBLE_EQ(disabled.slot(s).flash_multiplier, 1.0);
   }
-  EXPECT_EQ(disabled.degraded_slots(), 0);
-  EXPECT_EQ(disabled.flash_slots(), 0);
 
   const ChaosSchedule empty_day(network, lively_chaos(), 0, 7);
   EXPECT_EQ(empty_day.slots(), 0);
@@ -92,7 +90,7 @@ TEST(ChaosSchedule, BookkeepingInvariantsAndGlobalGuard) {
 
   const int node_cap = static_cast<int>(config.max_failed_node_fraction *
                                         static_cast<double>(10));
-  int failures = 0, repairs = 0;
+  int failures = 0, repairs = 0, degraded_slots = 0;
   std::size_t prev_nodes = 0, prev_links = 0;
   net::FailurePlan prev_plan;
   for (int s = 1; s <= schedule.slots(); ++s) {
@@ -113,22 +111,20 @@ TEST(ChaosSchedule, BookkeepingInvariantsAndGlobalGuard) {
     EXPECT_EQ(slot.changed, differs);
     // The global connectivity guard held: survivors stay mutually reachable
     // on the degraded substrate.
-    const auto degraded = net::apply_failures(network, slot.plan);
-    EXPECT_TRUE(net::survivors_connected(degraded, slot.plan.failed_nodes));
+    EXPECT_TRUE(net::survivors_connected(
+        network, net::failure_masks(network, slot.plan)));
 
     failures += slot.nodes_failed_now + slot.links_failed_now;
     repairs += slot.nodes_repaired_now + slot.links_repaired_now;
+    degraded_slots += slot.degraded() ? 1 : 0;
     prev_nodes = slot.plan.failed_nodes.size();
     prev_links = slot.plan.failed_links.size();
     prev_plan = slot.plan;
   }
-  EXPECT_EQ(schedule.total_node_failures() + schedule.total_link_failures(),
-            failures);
-  EXPECT_EQ(schedule.total_repairs(), repairs);
   // The day is a real chaos day: things broke, things were fixed.
   EXPECT_GT(failures, 0);
   EXPECT_GT(repairs, 0);
-  EXPECT_GT(schedule.degraded_slots(), 0);
+  EXPECT_GT(degraded_slots, 0);
 }
 
 /// Two triangle metros joined by a single backhaul link 2-3.

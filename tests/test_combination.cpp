@@ -52,6 +52,17 @@ TEST(Combiner, BestConnectionPicksDeployedNode) {
   }
 }
 
+/// Index of the group of `partition` that holds node k, or -1.
+int group_of(const MsPartition& partition, NodeId k) {
+  for (std::size_t s = 0; s < partition.groups.size(); ++s) {
+    const auto& group = partition.groups[s];
+    if (std::find(group.begin(), group.end(), k) != group.end()) {
+      return static_cast<int>(s);
+    }
+  }
+  return -1;
+}
+
 TEST(Combiner, BestConnectionPrefersUserGroup) {
   Fixture fx(2);
   Combiner combiner(fx.scenario, fx.partitioning, {});
@@ -61,7 +72,7 @@ TEST(Combiner, BestConnectionPrefersUserGroup) {
           combiner.best_connection(request.id, m, fx.pre.placement);
       const auto& partition =
           fx.partitioning.per_ms[static_cast<std::size_t>(m)];
-      const int user_group = partition.group_of(request.attach_node);
+      const int user_group = group_of(partition, request.attach_node);
       ASSERT_GE(user_group, 0) << "attach node must be a demand node";
       // If the user's group holds any instance, the connection stays inside.
       bool group_has_instance = false;
@@ -70,7 +81,7 @@ TEST(Combiner, BestConnectionPrefersUserGroup) {
         if (fx.pre.placement.deployed(m, q)) group_has_instance = true;
       }
       if (group_has_instance) {
-        EXPECT_EQ(partition.group_of(k), user_group);
+        EXPECT_EQ(group_of(partition, k), user_group);
       }
     }
   }
@@ -259,10 +270,11 @@ SweepCounts sweep_moves(const Combiner& combiner, const Scenario& scenario,
   EXPECT_EQ(bits(combiner.refresh_estimate_cache(base)),
             bits(combiner.estimated_objective(base)));
   SweepCounts counts;
+  EstimateScratch scratch;
   const auto check = [&](const Placement& trial, MsId m) {
     const double full = combiner.estimated_objective(trial);
     const double incremental =
-        combiner.estimated_objective_with_change(trial, m);
+        combiner.estimated_objective_with_change(trial, m, scratch);
     ASSERT_EQ(bits(incremental), bits(full))
         << "m=" << m << " full=" << full << " incremental=" << incremental;
     const bool late = late_classes(combiner, scenario, trial) > 0;

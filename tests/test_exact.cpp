@@ -107,13 +107,6 @@ TEST(ExactSolver, InfeasibleReportsInfinityNotZero) {
   EXPECT_GT(result.objective, 0.0);  // +inf, never a best-possible 0
 }
 
-TEST(ExactSolver, StatusNamesAreStable) {
-  EXPECT_STREQ(to_string(ExactStatus::kOptimal), "optimal");
-  EXPECT_STREQ(to_string(ExactStatus::kIncumbent), "incumbent");
-  EXPECT_STREQ(to_string(ExactStatus::kTimedOut), "timed-out");
-  EXPECT_STREQ(to_string(ExactStatus::kInfeasible), "infeasible");
-}
-
 TEST(ExactSolver, DeadlineEnforcementToggle) {
   auto config = micro_config();
   config.requests.deadline_slack = 1.05;  // near-binding deadlines

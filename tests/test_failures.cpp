@@ -12,6 +12,15 @@
 namespace socl::net {
 namespace {
 
+/// Survivor connectivity on the materialised degraded network, where the
+/// failed links are already gone: only the failed nodes are masked.
+bool degraded_survivors_connected(const EdgeNetwork& degraded,
+                                  const FailurePlan& plan) {
+  FailurePlan nodes_only;
+  nodes_only.failed_nodes = plan.failed_nodes;
+  return survivors_connected(degraded, failure_masks(degraded, nodes_only));
+}
+
 TEST(ApplyFailures, EmptyPlanIsIdentity) {
   const auto network = make_topology(8, 1);
   const auto degraded = apply_failures(network, {});
@@ -58,8 +67,7 @@ TEST(SurvivorsConnected, DetectsPartition) {
   network.add_link_with_rate(1, 2, 5.0);
   FailurePlan plan;
   plan.failed_nodes.push_back(1);
-  const auto degraded = apply_failures(network, plan);
-  EXPECT_FALSE(survivors_connected(degraded, plan.failed_nodes));
+  EXPECT_FALSE(survivors_connected(network, failure_masks(network, plan)));
 }
 
 TEST(RandomFailures, ConnectivityGuardHolds) {
@@ -68,8 +76,7 @@ TEST(RandomFailures, ConnectivityGuardHolds) {
     util::Rng rng(seed * 13);
     const auto plan = random_failures(network, 0.2, 2, rng,
                                       /*keep_survivors_connected=*/true);
-    const auto degraded = apply_failures(network, plan);
-    EXPECT_TRUE(survivors_connected(degraded, plan.failed_nodes))
+    EXPECT_TRUE(survivors_connected(network, failure_masks(network, plan)))
         << "seed " << seed;
   }
 }
@@ -99,14 +106,13 @@ TEST(SurvivorsConnected, VacuousForAllFailedAndEmpty) {
   const auto network = make_topology(5, 21);
   FailurePlan plan;
   for (NodeId k = 0; k < 5; ++k) plan.failed_nodes.push_back(k);
-  const auto degraded = apply_failures(network, plan);
-  EXPECT_TRUE(survivors_connected(degraded, plan.failed_nodes));
-  EXPECT_TRUE(survivors_connected(EdgeNetwork{}, std::vector<NodeId>{}));
+  EXPECT_TRUE(survivors_connected(network, failure_masks(network, plan)));
+  EXPECT_TRUE(survivors_connected(EdgeNetwork{}, FailureMasks{}));
 }
 
-TEST(SurvivorsConnected, MaskOverloadMatchesDegradedNetwork) {
-  // The mask overload on the original network must agree with the legacy
-  // check on the materialised degraded network for arbitrary plans.
+TEST(SurvivorsConnected, MasksMatchDegradedNetwork) {
+  // The masks on the original network must agree with the same check on
+  // the materialised degraded network for arbitrary plans.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto network = make_topology(10, seed);
     util::Rng rng(seed * 7);
@@ -114,7 +120,7 @@ TEST(SurvivorsConnected, MaskOverloadMatchesDegradedNetwork) {
                                       /*keep_survivors_connected=*/false);
     const auto degraded = apply_failures(network, plan);
     EXPECT_EQ(survivors_connected(network, failure_masks(network, plan)),
-              survivors_connected(degraded, plan.failed_nodes))
+              degraded_survivors_connected(degraded, plan))
         << "seed " << seed;
   }
 }
@@ -201,8 +207,8 @@ TEST(FailoverTargets, AcrossDisconnectedSurvivorComponents) {
   network.add_link_with_rate(3, 4, 5.0);
   FailurePlan plan;
   plan.failed_nodes.push_back(0);
+  EXPECT_FALSE(survivors_connected(network, failure_masks(network, plan)));
   const auto degraded = apply_failures(network, plan);
-  EXPECT_FALSE(survivors_connected(degraded, plan.failed_nodes));
   const auto targets = failover_targets(degraded, plan.failed_nodes);
   EXPECT_EQ(targets[0], 1);
   for (NodeId k = 1; k < 5; ++k) EXPECT_EQ(targets[k], kInvalidNode);

@@ -51,17 +51,10 @@ TEST(EdgeNetwork, AddLinkWiresAdjacencyBothWays) {
   EXPECT_TRUE(net.has_link(1, 0));
 }
 
-TEST(EdgeNetwork, LinkRateLookup) {
-  auto net = two_node_net(42.0);
-  EXPECT_DOUBLE_EQ(net.link_rate(0, 1), 42.0);
-  EXPECT_DOUBLE_EQ(net.link_rate(1, 0), 42.0);
-}
-
-TEST(EdgeNetwork, MissingLinkRateIsZero) {
+TEST(EdgeNetwork, MissingLinkIsAbsent) {
   EdgeNetwork net;
   net.add_node({});
   net.add_node({});
-  EXPECT_DOUBLE_EQ(net.link_rate(0, 1), 0.0);
   EXPECT_FALSE(net.has_link(0, 1));
 }
 
@@ -74,26 +67,21 @@ TEST(EdgeNetwork, RejectsSelfLoopAndNegativeRate) {
 
 TEST(EdgeNetwork, ZeroRateLinkIsRecordedButDead) {
   // A blocked channel (shannon_rate_gbps == 0) is a real link that carries
-  // nothing: it must be representable, and the strongest-rate query must not
-  // be fooled by it.
+  // nothing: it must be representable.
   auto net = two_node_net(10.0);
   net.add_node({});
   const LinkId dead = net.add_link_with_rate(0, 2, 0.0);
   EXPECT_EQ(net.num_links(), 2u);
   EXPECT_DOUBLE_EQ(net.link(dead).rate_gbps, 0.0);
   EXPECT_TRUE(net.has_link(0, 2));
-  EXPECT_DOUBLE_EQ(net.link_rate(0, 2), 0.0);
 }
 
-TEST(EdgeNetwork, AllowsParallelLinksAndReportsStrongestRate) {
+TEST(EdgeNetwork, AllowsParallelLinks) {
   auto net = two_node_net(10.0);
   const LinkId second = net.add_link_with_rate(0, 1, 25.0);
   EXPECT_EQ(net.num_links(), 2u);
   EXPECT_EQ(net.link(second).rate_gbps, 25.0);
   EXPECT_EQ(net.degree(0), 2u);
-  // link_rate reports the strongest of the parallel channels, both ways.
-  EXPECT_DOUBLE_EQ(net.link_rate(0, 1), 25.0);
-  EXPECT_DOUBLE_EQ(net.link_rate(1, 0), 25.0);
 }
 
 TEST(EdgeNetwork, RejectsBadNodeIds) {

@@ -32,6 +32,18 @@ struct Fixture {
   }
 };
 
+/// Scores one removal the way the combiner does: through score_candidates,
+/// whose serial path leases a slot and merges the counters.
+double score_removal(RoutingEngine& engine, MsId m, NodeId k,
+                     const Placement& trial) {
+  return engine
+      .score_candidates(1,
+                        [&](std::size_t, RoutingEngine::ScoreContext& ctx) {
+                          return engine.objective_without(m, k, trial, ctx);
+                        })
+      .front();
+}
+
 TEST(Incremental, RemoveMatchesFullEvaluation) {
   Fixture fx(1);
   const Placement& base = fx.pre.placement;
@@ -43,7 +55,7 @@ TEST(Incremental, RemoveMatchesFullEvaluation) {
       Placement trial = base;
       trial.remove(m, k);
       const double incremental =
-          fx.combiner.engine().objective_without(m, k, trial);
+          score_removal(fx.combiner.engine(), m, k, trial);
       const double full = fx.combiner.serial_objective(trial);
       EXPECT_NEAR(incremental, full, 1e-6) << "remove ms=" << m << " k=" << k;
     }
@@ -118,7 +130,7 @@ TEST(Incremental, OrphaningRemovalIsInfinite) {
     const NodeId k = base.nodes_of(m).front();
     Placement trial = base;
     trial.remove(m, k);
-    EXPECT_TRUE(std::isinf(fx.combiner.engine().objective_without(m, k, trial)))
+    EXPECT_TRUE(std::isinf(score_removal(fx.combiner.engine(), m, k, trial)))
         << "ms " << m;
     break;
   }
@@ -170,7 +182,7 @@ TEST(Incremental, RepeatedChainRemovalDetectsLaterOccurrence) {
       ChainRouter(scenario).route_cost(scenario.request(0), trial, scratch);
   ASSERT_GT(rerouted, combiner.engine().cached_latency(0) + 1e-9);
 
-  const double incremental = combiner.engine().objective_without(0, 2, trial);
+  const double incremental = score_removal(combiner.engine(), 0, 2, trial);
   const double full = combiner.serial_objective(trial);
   EXPECT_NEAR(incremental, full, 1e-9);
 }
@@ -194,7 +206,7 @@ TEST_P(IncrementalSweep, RandomMovesAgree) {
     if (base.deployed(m, k)) {
       if (base.instance_count(m) <= 1) continue;
       altered.remove(m, k);
-      EXPECT_NEAR(fx.combiner.engine().objective_without(m, k, altered),
+      EXPECT_NEAR(score_removal(fx.combiner.engine(), m, k, altered),
                   fx.combiner.serial_objective(altered), 1e-6);
     } else if (!fx.scenario.demand_nodes(m).empty()) {
       altered.deploy(m, k);

@@ -20,6 +20,7 @@
 #include "obs/recorder.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
+#include "util/table.h"
 
 // ---- Global allocation counter (whole-executable operator new override) ----
 // Each test target is its own executable, so replacing the global operator
@@ -354,7 +355,7 @@ TEST(MetricsRegistryTest, CsvHeaderMatchesDocumentedSchema) {
   MetricsRegistry registry;
   registry.counter_add("socl.test.c", 5);
   registry.observe("socl.test.h", 2.0);
-  const std::string csv = registry.snapshot().to_csv();
+  const std::string csv = registry.snapshot().to_table().to_csv();
   EXPECT_EQ(csv.substr(0, csv.find('\n')),
             "metric,kind,count,value,sum,min,max,mean");
 }

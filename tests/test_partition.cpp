@@ -183,15 +183,6 @@ TEST(ProactiveFactor, LocalBeatsRemoteOnPathGraph) {
   }
 }
 
-TEST(MsPartitionHelpers, GroupOfAndTotals) {
-  MsPartition partition;
-  partition.groups = {{1, 2}, {5}};
-  EXPECT_EQ(partition.group_of(2), 0);
-  EXPECT_EQ(partition.group_of(5), 1);
-  EXPECT_EQ(partition.group_of(9), -1);
-  EXPECT_EQ(partition.total_nodes(), 3u);
-}
-
 // ξ-quantile sweep: higher quantiles can only refine groups (weakly more
 // groups), since fewer links survive the filter.
 class XiMonotonicity : public ::testing::TestWithParam<std::uint64_t> {};

@@ -39,6 +39,18 @@ struct Fixture {
         pre(preprovision(scenario, partitioning)) {}
 };
 
+/// Scores one removal the way the combiner does: through score_candidates,
+/// whose serial path leases a slot and merges the counters.
+double score_removal(RoutingEngine& engine, MsId m, NodeId k,
+                     const Placement& trial) {
+  return engine
+      .score_candidates(1,
+                        [&](std::size_t, RoutingEngine::ScoreContext& ctx) {
+                          return engine.objective_without(m, k, trial, ctx);
+                        })
+      .front();
+}
+
 TEST(RoutingEngine, ScratchRouteMatchesAllocatingRoute) {
   Fixture fx(11);
   ChainRouter router(fx.scenario);
@@ -185,7 +197,7 @@ TEST(RoutingEngine, RemovalScoringAvoidsUntouchedUsers) {
     for (const NodeId k : fx.pre.placement.nodes_of(m)) {
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
-      engine.objective_without(m, k, trial);
+      score_removal(engine, m, k, trial);
       ++scored;
     }
   }
@@ -290,8 +302,8 @@ TEST(RoutingEngine, WorkloadMutationRescoresLikeFreshEngine) {
     for (const NodeId k : fx.pre.placement.nodes_of(m)) {
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
-      EXPECT_EQ(survivor.objective_without(m, k, trial),
-                fresh.objective_without(m, k, trial))
+      EXPECT_EQ(score_removal(survivor, m, k, trial),
+                score_removal(fresh, m, k, trial))
           << "m=" << m << " k=" << k;
       EXPECT_EQ(survivor.objective_with_change(trial, m),
                 fresh.objective_with_change(trial, m))
@@ -324,13 +336,14 @@ TEST(RoutingEngine, PoolSizingRobustForAllThreadSettings) {
   }
 }
 
-// Regression: the convenience overloads (objective_without / with_change /
-// full_objective) wrote through the engine's slot-0 scratch and shared
-// counter block unconditionally, racing any concurrently running
-// score_candidates fan-out that was using the same slot. They now check out
-// dedicated serial slots under a mutex, so hammering them from another
-// thread during a fan-out must produce bit-identical values throughout
-// (the tsan CI job runs this test under ThreadSanitizer).
+// Regression: the serial entry points (objective_with_change /
+// full_objective and score_candidates' inline path) wrote through the
+// engine's slot-0 scratch and shared counter block unconditionally, racing
+// any concurrently running score_candidates fan-out that was using the same
+// slot. They now check out dedicated serial slots under a mutex, so
+// hammering them from another thread during a fan-out must produce
+// bit-identical values throughout (the tsan CI job runs this test under
+// ThreadSanitizer).
 TEST(RoutingEngine, ConvenienceOverloadsSafeDuringScoreCandidates) {
   Fixture fx(19);
   RoutingEngine engine(fx.scenario, /*threads=*/4);
@@ -366,7 +379,7 @@ TEST(RoutingEngine, ConvenienceOverloadsSafeDuringScoreCandidates) {
       const auto [m, k] = candidates.front();
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
-      hammered.push_back(engine.objective_without(m, k, trial));
+      hammered.push_back(score_removal(engine, m, k, trial));
       hammered.push_back(engine.objective_with_change(trial, m));
     } while (!stop.load(std::memory_order_relaxed));
   });

@@ -66,7 +66,7 @@ TEST(Scenario, DemandCountsSumToChainMemberships) {
     }
     int expected = 0;
     for (const auto& request : scenario.requests()) {
-      if (request.uses(m)) ++expected;
+      if (request.position_of(m) >= 0) ++expected;
     }
     EXPECT_EQ(total, expected);
   }
@@ -83,7 +83,7 @@ TEST(Scenario, RequestInboundDataConvention) {
           request.edge_data[0]);
     }
     for (MsId m = 0; m < scenario.num_microservices(); ++m) {
-      if (!request.uses(m)) {
+      if (request.position_of(m) < 0) {
         EXPECT_DOUBLE_EQ(scenario.request_inbound_data(request, m), 0.0);
       }
     }

@@ -88,6 +88,18 @@ void expect_kernel_matches_router(const Scenario& scenario,
   EXPECT_GT(stats.lanes, 0);
 }
 
+/// Scores one removal the way the combiner does: through score_candidates,
+/// whose serial path leases a slot and merges the counters.
+double score_removal(RoutingEngine& engine, MsId m, NodeId k,
+                     const Placement& trial) {
+  return engine
+      .score_candidates(1,
+                        [&](std::size_t, RoutingEngine::ScoreContext& ctx) {
+                          return engine.objective_without(m, k, trial, ctx);
+                        })
+      .front();
+}
+
 /// A user at hub 0 of a symmetric star (nodes 1 and 2: equal speed, equal
 /// link rate) whose chain is hosted on both leaves: the two conditionings
 /// (1, 1) and (2, 2) end with bit-equal totals.
@@ -112,18 +124,32 @@ TEST(ScoreKernel, CostsAndRoutesBitIdenticalToLegacy) {
     ScoreKernel::Arena arena;
     expect_kernel_matches_router(fx.scenario, kernel, fx.pre.placement, arena);
   }
-  // Terminal ties: the kernel must keep the first bit-equal minimum, as the
-  // oracle's strict < does.
+}
+
+// Terminal ties: routes (1, 1) and (2, 2) end with bit-equal totals, and the
+// kernel must keep the first minimum in terminal-node order, as the oracle's
+// strict < does. Generated instances never tie, so only this pins the order.
+TEST(ScoreKernel, TerminalTiesKeepFirstMinimum) {
   const Scenario tied = make_tied_scenario();
   Placement both(tied);
   for (const MsId m : {0, 1}) {
     both.deploy(m, 1);
     both.deploy(m, 2);
   }
+  RouteScratch scratch;
+  RouteResult oracle;
+  ASSERT_TRUE(
+      ChainRouter(tied).route_into(tied.request(0), both, scratch, oracle));
+  EXPECT_EQ(oracle.nodes, (std::vector<NodeId>{1, 1}));
   for (const std::size_t budget : {std::size_t{0}, std::size_t{1} << 20}) {
     ScoreKernel kernel(tied, budget);
     ScoreKernel::Arena arena;
     expect_kernel_matches_router(tied, kernel, both, arena);
+    KernelStats stats;
+    kernel.bind(arena, both);
+    RouteResult route;
+    ASSERT_TRUE(kernel.class_route(0, arena, stats, route));
+    EXPECT_EQ(route.nodes, oracle.nodes) << "delay-table budget " << budget;
   }
 }
 
@@ -397,7 +423,7 @@ TEST(ScoreKernel, EngineMatchesChainRouterReference) {
     for (const NodeId k : fx.pre.placement.nodes_of(m)) {
       Placement trial = fx.pre.placement;
       trial.remove(m, k);
-      EXPECT_EQ(engine.objective_without(m, k, trial),
+      EXPECT_EQ(score_removal(engine, m, k, trial),
                 reference.objective_without(m, k, trial))
           << "m=" << m << " k=" << k;
       EXPECT_EQ(engine.objective_with_change(trial, m),

@@ -18,6 +18,7 @@
 
 #include "core/evaluator.h"
 #include "core/socl.h"
+#include "net/failures.h"
 #include "net/multi_metro.h"
 #include "obs/recorder.h"
 #include "validate/validator.h"
@@ -255,15 +256,36 @@ TEST(ShardedSoCL, OneShardIsNeverPriced) {
   EXPECT_EQ(scenario.constants().budget, before.budget);
 }
 
-TEST(ShardPlan, MetroAndComponentDerivationsAgree) {
+TEST(ShardPlan, MetrosAreTheComponentsLeftByCuttingBackhaul) {
   const MetroFixture fixture(3, 5, 24, /*seed=*/9);
-  const ShardPlan from_metros =
-      plan_from_metros(fixture.topo.metro_of, fixture.topo.metros);
-  const ShardPlan from_components = plan_from_components(
-      fixture.topo.network, fixture.topo.backhaul_links);
-  ASSERT_EQ(from_components.num_shards(), from_metros.num_shards());
-  EXPECT_EQ(from_components.shard_of, from_metros.shard_of);
-  EXPECT_EQ(from_components.nodes, from_metros.nodes);
+  const net::MultiMetroTopology& topo = fixture.topo;
+  // The backhaul class is exactly the set of links joining two metros...
+  const std::vector<net::LinkId>& backhaul = topo.backhaul_links;
+  for (std::size_t l = 0; l < topo.network.num_links(); ++l) {
+    const net::EdgeLink& link = topo.network.link(static_cast<net::LinkId>(l));
+    const bool cross = topo.metro_of[static_cast<std::size_t>(link.a)] !=
+                       topo.metro_of[static_cast<std::size_t>(link.b)];
+    EXPECT_EQ(std::find(backhaul.begin(), backhaul.end(), link.id) !=
+                  backhaul.end(),
+              cross)
+        << "link " << l;
+  }
+  // ...and every metro stays connected without it.
+  for (int m = 0; m < topo.metros; ++m) {
+    net::FailurePlan others;
+    others.failed_links = backhaul;
+    for (std::size_t k = 0; k < topo.metro_of.size(); ++k) {
+      if (topo.metro_of[k] != m) {
+        others.failed_nodes.push_back(static_cast<net::NodeId>(k));
+      }
+    }
+    EXPECT_TRUE(net::survivors_connected(
+        topo.network, net::failure_masks(topo.network, others)))
+        << "metro " << m;
+  }
+  const ShardPlan plan = plan_from_metros(topo.metro_of, topo.metros);
+  ASSERT_EQ(plan.num_shards(), topo.metros);
+  EXPECT_EQ(plan.shard_of, topo.metro_of);
 }
 
 TEST(ShardedSoCL, MultiMetroSolveRespectsGlobalBudget) {

@@ -27,23 +27,20 @@ TEST(ShortestPaths, HopCounts) {
   EXPECT_EQ(sp.hops(3, 0), 3);
 }
 
-TEST(ShortestPaths, PathEndpointsAndLength) {
+TEST(ShortestPaths, PathLinksWalkSourceToTarget) {
   auto net = path_graph();
   ShortestPaths sp(net);
-  const auto path = sp.path(0, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0);
-  EXPECT_EQ(path.back(), 3);
-  EXPECT_EQ(path[1], 1);
-  EXPECT_EQ(path[2], 2);
+  const auto links = sp.path_links(0, 3);
+  ASSERT_EQ(links.size(), 3u);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    EXPECT_EQ(net.link(links[i]).a, static_cast<NodeId>(i));
+    EXPECT_EQ(net.link(links[i]).b, static_cast<NodeId>(i + 1));
+  }
 }
 
 TEST(ShortestPaths, SelfPath) {
   auto net = path_graph();
   ShortestPaths sp(net);
-  const auto path = sp.path(2, 2);
-  ASSERT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0], 2);
   EXPECT_TRUE(sp.path_links(2, 2).empty());
   EXPECT_DOUBLE_EQ(sp.inverse_rate_sum(2, 2), 0.0);
 }
@@ -79,7 +76,7 @@ TEST(ShortestPaths, DisconnectedIsUnreachable) {
   ShortestPaths sp(net);
   EXPECT_EQ(sp.hops(0, 2), ShortestPaths::unreachable());
   EXPECT_FALSE(sp.reachable(0, 2));
-  EXPECT_TRUE(sp.path(0, 2).empty());
+  EXPECT_TRUE(sp.path_links(0, 2).empty());
   EXPECT_TRUE(std::isinf(sp.inverse_rate_sum(0, 2)));
   EXPECT_DOUBLE_EQ(sp.bottleneck_rate(0, 2), 0.0);
 }
@@ -94,9 +91,9 @@ TEST(ShortestPaths, EqualHopTieBreaksTowardStrongerBottleneck) {
   net.add_link_with_rate(2, 3, 60.0);
   ShortestPaths sp(net);
   EXPECT_EQ(sp.hops(0, 3), 2);
-  const auto path = sp.path(0, 3);
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[1], 2);  // stronger bottleneck (50 vs 1)
+  const auto links = sp.path_links(0, 3);
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(net.link(links[0]).b, 2);  // stronger bottleneck (50 vs 1)
   EXPECT_DOUBLE_EQ(sp.bottleneck_rate(0, 3), 50.0);
 }
 
@@ -109,7 +106,7 @@ TEST(ShortestPaths, PrefersFewerHopsOverBandwidth) {
   net.add_link_with_rate(1, 2, 100.0);
   ShortestPaths sp(net);
   EXPECT_EQ(sp.hops(0, 2), 1);
-  EXPECT_EQ(sp.path(0, 2).size(), 2u);
+  EXPECT_EQ(sp.path_links(0, 2).size(), 1u);
 }
 
 TEST(ShortestPaths, ParallelLinksPathUsesBfsChosenLink) {
@@ -179,9 +176,9 @@ TEST(ShortestPaths, DeadMinHopPathDoesNotShadowLongerAlivePath) {
   net.add_link_with_rate(1, 2, 10.0);
   ShortestPaths sp(net);
   EXPECT_EQ(sp.hops(0, 2), 2);
-  const auto path = sp.path(0, 2);
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[1], 1);
+  const auto links = sp.path_links(0, 2);
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(net.link(links[0]).b, 1);
   EXPECT_DOUBLE_EQ(sp.bottleneck_rate(0, 2), 10.0);
   EXPECT_NEAR(sp.inverse_rate_sum(0, 2), 0.2, 1e-12);
 }
@@ -197,7 +194,7 @@ TEST(ShortestPaths, AllDeadLinksMeansUnreachable) {
   EXPECT_TRUE(sp.reachable(0, 1));
   EXPECT_FALSE(sp.reachable(0, 2));
   EXPECT_EQ(sp.hops(0, 2), ShortestPaths::unreachable());
-  EXPECT_TRUE(sp.path(0, 2).empty());
+  EXPECT_TRUE(sp.path_links(0, 2).empty());
 }
 
 TEST(ShortestPaths, SymmetricHops) {

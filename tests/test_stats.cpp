@@ -1,4 +1,4 @@
-// Tests for streaming statistics, percentiles, histograms and similarity.
+// Tests for streaming statistics, percentiles and similarity.
 #include "util/stats.h"
 
 #include <gtest/gtest.h>
@@ -36,37 +36,12 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, left, right;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i < 20 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Percentile, MedianOfOddCount) {
-  EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
 }
 
 TEST(Percentile, MedianInterpolatesEvenCount) {
-  EXPECT_DOUBLE_EQ(median({1.0, 2.0, 3.0, 4.0}), 2.5);
+  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
 }
 
 TEST(Percentile, Extremes) {
@@ -89,7 +64,6 @@ TEST(Percentile, InfinityNeighborDoesNotPoison) {
   const std::vector<double> values{1.0, 2.0, inf};
   // rank 1.0: exact hit on the finite 2.0 — used to be 2 + 0*(inf-2) = NaN.
   EXPECT_DOUBLE_EQ(percentile(values, 50.0), 2.0);
-  EXPECT_DOUBLE_EQ(median(values), 2.0);
   // rank 1.2: nearest-rank fallback keeps the finite neighbour.
   EXPECT_DOUBLE_EQ(percentile(values, 60.0), 2.0);
   // rank 1.5 rounds half up into the infinite neighbour.
@@ -171,68 +145,6 @@ TEST(Cosine, ZeroVectorYieldsZero) {
 TEST(Cosine, SizeMismatchThrows) {
   const std::vector<double> a{1.0}, b{1.0, 2.0};
   EXPECT_THROW(cosine_similarity(a, b), std::invalid_argument);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> a{1.0, 2.0, 3.0}, b{10.0, 20.0, 30.0};
-  EXPECT_NEAR(pearson_correlation(a, b), 1.0, 1e-12);
-}
-
-TEST(Pearson, PerfectAntiCorrelation) {
-  const std::vector<double> a{1.0, 2.0, 3.0}, b{3.0, 2.0, 1.0};
-  EXPECT_NEAR(pearson_correlation(a, b), -1.0, 1e-12);
-}
-
-TEST(Pearson, NoVarianceYieldsZero) {
-  const std::vector<double> a{1.0, 1.0, 1.0}, b{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson_correlation(a, b), 0.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(1.0);   // bin 0
-  hist.add(9.5);   // bin 4
-  hist.add(-3.0);  // clamped to bin 0
-  hist.add(42.0);  // clamped to bin 4
-  EXPECT_EQ(hist.bin_count(0), 2u);
-  EXPECT_EQ(hist.bin_count(4), 2u);
-  EXPECT_EQ(hist.total(), 4u);
-}
-
-TEST(HistogramTest, NonFiniteSamplesCountedSeparately) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(std::numeric_limits<double>::quiet_NaN());
-  hist.add(std::numeric_limits<double>::infinity());
-  hist.add(-std::numeric_limits<double>::infinity());
-  hist.add(5.0);
-  EXPECT_EQ(hist.non_finite(), 3u);
-  EXPECT_EQ(hist.total(), 1u);
-  // No bin absorbed the non-finite samples.
-  std::size_t binned = 0;
-  for (std::size_t b = 0; b < hist.bins(); ++b) binned += hist.bin_count(b);
-  EXPECT_EQ(binned, 1u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram hist(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(hist.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bin_low(4), 8.0);
-}
-
-TEST(HistogramTest, RejectsDegenerate) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(HistogramTest, RenderMentionsCounts) {
-  Histogram hist(0.0, 2.0, 2);
-  hist.add(0.5);
-  hist.add(1.5);
-  hist.add(1.6);
-  const std::string text = hist.render();
-  EXPECT_NE(text.find("1"), std::string::npos);
-  EXPECT_NE(text.find("2"), std::string::npos);
 }
 
 // Percentile is monotone in p — property sweep across random inputs.
