@@ -47,7 +47,7 @@ inline serve::ServingConfig serving_day_config(bool tiny) {
     config.population = 1'000'000;
     config.slot_horizon_s = 30.0;
     config.arrivals.mean_rate = 1e-4;
-    config.runtime.threads = 0;  // data-plane pool: arrivals, route tables
+    config.runtime.threads = 0;  // data plane on the whole shared pool
   }
   config.slots = 24;
   config.mobility.move_prob = 0.3;

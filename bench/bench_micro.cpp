@@ -236,19 +236,16 @@ serverless::ArrivalConfig serving_day_arrivals() {
   return config;
 }
 
-// workers:1 draws serially (no pool); workers:2 draws the same stream in
-// blocks on a 2-lane pool, as a ServingLoop with perfbench's 2 runtime
+// workers:1 draws serially; workers:2 draws the same stream in blocks on 2
+// lanes of the shared pool, as a ServingLoop with perfbench's 2 runtime
 // threads does.
 void BM_GenerateArrivals(benchmark::State& state) {
   const int users = 100'000;
   const serverless::ArrivalConfig config = serving_day_arrivals();
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<util::ThreadPool>(workers);
+  const auto workers = static_cast<int>(state.range(0));
   std::size_t arrivals = 0;
   for (auto _ : state) {
-    const auto stream =
-        serverless::generate_arrivals(users, config, pool.get());
+    const auto stream = serverless::generate_arrivals(users, config, workers);
     arrivals = stream.size();
     benchmark::DoNotOptimize(stream.data());
   }
@@ -264,8 +261,8 @@ BENCHMARK(BM_GenerateArrivals)
 // One serving_day-sized DES window: the perfbench serving_day geometry (16
 // nodes, 200 templates replicated to 100k users) after its first replan,
 // serving BM_GenerateArrivals' stream under the Alg. 2 pre-warm policy with
-// the replan's placement carried, its route tables on a lent 2-lane pool
-// (perfbench's 2 runtime threads), as the serving loop lends its own.
+// the replan's placement carried, its route tables on 2 lanes of the shared
+// pool (perfbench's 2 runtime threads), as the serving loop's are.
 void BM_DesWindow(benchmark::State& state) {
   static const auto loop = [] {
     serve::ServingConfig config;
@@ -285,10 +282,8 @@ void BM_DesWindow(benchmark::State& state) {
   const auto arrivals = serverless::generate_arrivals(
       scenario.num_users(), serving_day_arrivals());
   const serverless::SoCLPrewarmPolicy policy(scenario);
-  util::ThreadPool pool(
-      static_cast<std::size_t>(loop->config().runtime.threads));
-  const serverless::ServerlessRuntime runtime(scenario, loop->config().runtime,
-                                              &pool);
+  const serverless::ServerlessRuntime runtime(scenario,
+                                              loop->config().runtime);
   std::int64_t invocations = 0;
   for (auto _ : state) {
     const auto metrics = runtime.run(loop->placement(), loop->assignment(),

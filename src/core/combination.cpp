@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
 
 #include "core/storage_planning.h"
 #include "obs/sink.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace socl::core {
@@ -76,7 +76,7 @@ NodeId Combiner::best_connection(int user, MsId m,
 
 NodeId Combiner::connection_at(NodeId attach, MsId m,
                                const Placement& placement) const {
-  // One buffer per thread: latency_losses calls this from the engine's pool
+  // One buffer per thread: latency_losses calls this from the shared pool's
   // workers, and a per-call vector would allocate on every ζ connection.
   thread_local std::vector<NodeId> hosts;
   placement.nodes_of_into(m, hosts);
@@ -403,9 +403,9 @@ std::vector<LatencyLoss> Combiner::latency_losses(
     losses[i] = {m, k, zeta, gradient};
   };
   if (config_.use_parallel_stage && instances.size() > 8) {
-    // ζ evaluations are pure per-index writes, so the engine's shared pool
-    // (no per-round thread spawning) keeps results order-independent.
-    engine_.pool().parallel_for(instances.size(), fill);
+    // ζ evaluations are pure per-index writes, so the fan-out keeps
+    // results order-independent.
+    util::shared_pool().parallel_for(instances.size(), fill, engine_.lanes());
   } else {
     for (std::size_t i = 0; i < instances.size(); ++i) fill(i);
   }
@@ -515,20 +515,61 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
   CombinationStats local_stats;
   engine_.reset_counters();
   classes_reestimated_.store(0);
-  const double budget = scenario_->constants().budget;
-  const auto& catalog = scenario_->catalog();
 
   // The dense basin shares nothing with the main descent until the final
-  // comparison, so it descends on a helper thread while the stages below
-  // run (not on the engine's pool, whose tasks must not block on each
-  // other). threads == 1 keeps the run single-core: the basin then descends
-  // inline after the polish. The future's destructor joins the helper if
-  // the main descent throws.
-  std::future<DenseBasin> dense_basin;
-  if (config_.use_multi_start && config_.threads != 1) {
-    dense_basin = std::async(std::launch::async,
-                             [this] { return descend_dense_basin(); });
+  // comparison, so the two are one fan-out: the main stages, then the basin
+  // (on a second lane when one is free; inline after the polish on one).
+  std::optional<DenseBasin> dense;
+  util::shared_pool().parallel_for(
+      config_.use_multi_start ? 2 : 1,
+      [&](std::size_t i) {
+        if (i == 0) return run_stages(placement, local_stats);
+        dense = descend_dense_basin();
+      },
+      engine_.lanes());
+
+  // ---- Multi-start: keep the better of the two basins. ----
+  if (dense) {
+    engine_.merge_counters(dense->routing);
+    classes_reestimated_.fetch_add(dense->classes_reestimated);
+    local_stats.multi_start_seconds = dense->seconds;
+    if (dense->feasible &&
+        dense->objective < serial_objective(placement) - 1e-9) {
+      placement = std::move(dense->placement);
+    }
   }
+
+  local_stats.routing = engine_.counters();
+  if (config_.sink != nullptr) {
+    obs::ObsSink* const sink = config_.sink;
+    sink->add_counter("socl.combination.runs", 1);
+    sink->add_counter("socl.combination.parallel_rounds",
+                      local_stats.parallel_rounds);
+    sink->add_counter("socl.combination.parallel_removals",
+                      local_stats.parallel_removals);
+    sink->add_counter("socl.combination.serial_removals",
+                      local_stats.serial_removals);
+    sink->add_counter("socl.combination.rollbacks", local_stats.rollbacks);
+    sink->set_gauge("socl.combination.estimate_regime",
+                    use_exact_eval() ? 0.0 : 1.0);
+    sink->add_counter("socl.combination.classes_reestimated",
+                      classes_reestimated_.load());
+    sink->observe("socl.combination.parallel_stage_s",
+                  local_stats.parallel_stage_seconds);
+    sink->observe("socl.combination.serial_stage_s",
+                  local_stats.serial_stage_seconds);
+    sink->observe("socl.combination.polish_s", local_stats.polish_seconds);
+    sink->observe("socl.combination.multi_start_s",
+                  local_stats.multi_start_seconds);
+  }
+  if (stats != nullptr) *stats = local_stats;
+  return placement;
+}
+
+void Combiner::run_stages(Placement& placement,
+                          CombinationStats& local_stats) {
+  const double budget = scenario_->constants().budget;
+  const auto& catalog = scenario_->catalog();
   util::WallTimer stage_timer;
 
   // ---- Large-scale (parallel) stage: lines 1-5 of Algorithm 3. ----
@@ -675,45 +716,6 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
     polish(placement);
   }
   local_stats.polish_seconds = stage_timer.elapsed_seconds();
-
-  // ---- Multi-start: keep the better of the two basins. ----
-  if (config_.use_multi_start) {
-    DenseBasin dense =
-        dense_basin.valid() ? dense_basin.get() : descend_dense_basin();
-    engine_.merge_counters(dense.routing);
-    classes_reestimated_.fetch_add(dense.classes_reestimated);
-    local_stats.multi_start_seconds = dense.seconds;
-    if (dense.feasible &&
-        dense.objective < serial_objective(placement) - 1e-9) {
-      placement = std::move(dense.placement);
-    }
-  }
-
-  local_stats.routing = engine_.counters();
-  if (config_.sink != nullptr) {
-    obs::ObsSink* const sink = config_.sink;
-    sink->add_counter("socl.combination.runs", 1);
-    sink->add_counter("socl.combination.parallel_rounds",
-                      local_stats.parallel_rounds);
-    sink->add_counter("socl.combination.parallel_removals",
-                      local_stats.parallel_removals);
-    sink->add_counter("socl.combination.serial_removals",
-                      local_stats.serial_removals);
-    sink->add_counter("socl.combination.rollbacks", local_stats.rollbacks);
-    sink->set_gauge("socl.combination.estimate_regime",
-                    use_exact_eval() ? 0.0 : 1.0);
-    sink->add_counter("socl.combination.classes_reestimated",
-                      classes_reestimated_.load());
-    sink->observe("socl.combination.parallel_stage_s",
-                  local_stats.parallel_stage_seconds);
-    sink->observe("socl.combination.serial_stage_s",
-                  local_stats.serial_stage_seconds);
-    sink->observe("socl.combination.polish_s", local_stats.polish_seconds);
-    sink->observe("socl.combination.multi_start_s",
-                  local_stats.multi_start_seconds);
-  }
-  if (stats != nullptr) *stats = local_stats;
-  return placement;
 }
 
 Combiner::DenseBasin Combiner::descend_dense_basin() const {

@@ -25,7 +25,6 @@
 #include "core/evaluator.h"
 #include "core/preprovision.h"
 #include "core/routing_engine.h"
-#include "util/thread_pool.h"
 
 namespace socl::obs {
 class ObsSink;
@@ -38,13 +37,12 @@ struct CombinationConfig {
   double omega = 0.2;
   /// Disturbance factor Θ: tolerated objective rise per serial move.
   double theta = 25.0;
-  /// Lanes, the calling thread included (0 = hardware concurrency), of the
-  /// parallel stage and the routing engine's scoring pool, which starts one
-  /// thread fewer. Any value but 1 also fans candidate scoring out over
-  /// that pool and descends the multi-start's dense basin on a helper
-  /// thread beside the serial stage and polish; 1 keeps the whole run on
-  /// the calling thread. Results and work counters are the
-  /// same either way (the determinism tests in test_routing_engine and
+  /// Lanes, the calling thread included, that each of the run's fan-outs
+  /// takes of util::shared_pool() (0 = the whole pool; wider than the pool
+  /// is clamped): the parallel stage's ζ sweep, candidate scoring, and the
+  /// multi-start's dense basin beside the main stages. 1 keeps the whole
+  /// run on the calling thread. Results and work counters are the same
+  /// either way (the determinism tests in test_routing_engine and
   /// test_combination enforce it).
   int threads = 0;
   bool use_parallel_stage = true;   // ablation switches
@@ -58,8 +56,8 @@ struct CombinationConfig {
   /// Multi-start: additionally descend from the dense placement (every
   /// demand node hosts its services) with the screened move engine and keep
   /// the better basin. Costs roughly one extra descent of CPU time, run on
-  /// its own scoring engine and, unless threads == 1, concurrently with the
-  /// main descent; still far cheaper than GC-OG's exhaustive per-move scans.
+  /// its own scoring engine, beside the main descent when a lane is free;
+  /// still far cheaper than GC-OG's exhaustive per-move scans.
   bool use_multi_start = true;
   /// Observability sink: stage spans (`combination.*`, `storage_planning`),
   /// ζ-list spans, and the `socl.combination.*` counters are emitted here;
@@ -77,8 +75,8 @@ struct CombinationStats {
   double parallel_stage_seconds = 0.0;
   double serial_stage_seconds = 0.0;
   double polish_seconds = 0.0;
-  /// The dense basin's own descent; it overlaps the serial stage and the
-  /// polish unless CombinationConfig::threads == 1.
+  /// The dense basin's own descent; it overlaps the main stages when it
+  /// gets a lane of its own (never when CombinationConfig::threads == 1).
   double multi_start_seconds = 0.0;
   /// Routing-engine counters accumulated across the whole run.
   RoutingCounters routing;
@@ -198,6 +196,9 @@ class Combiner {
     std::int64_t classes_reestimated;
   };
   DenseBasin descend_dense_basin() const;
+  /// run()'s main descent on `placement`: the parallel stage, storage
+  /// planning, the serial stage and the polish, timed into `local_stats`.
+  void run_stages(Placement& placement, CombinationStats& local_stats);
 
   /// Per-microservice work shared by every removable instance of m in one
   /// latency_losses pass: the classes whose chains use m (ascending class

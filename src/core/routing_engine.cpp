@@ -1,10 +1,12 @@
 #include "core/routing_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
 #include "obs/sink.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace socl::core {
@@ -26,7 +28,12 @@ void RoutingCounters::merge(const RoutingCounters& other) {
 }
 
 RoutingEngine::RoutingEngine(const Scenario& scenario, int threads)
-    : scenario_(&scenario), kernel_(scenario), threads_(threads) {
+    : scenario_(&scenario),
+      kernel_(scenario),
+      lanes_(std::min(util::shared_pool().size(),
+                      threads > 0 ? static_cast<std::size_t>(threads)
+                                  : util::shared_pool().size())),
+      arenas_(lanes_) {
   rebuild_class_index();
 }
 
@@ -73,19 +80,6 @@ RoutingEngine::SlotLease::~SlotLease() {
 void RoutingEngine::merge_counters(const RoutingCounters& local) {
   std::lock_guard<std::mutex> lock(mutex_);
   counters_.merge(local);
-}
-
-util::ThreadPool& RoutingEngine::pool() {
-  if (!pool_) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(threads_ > 0 ? threads_ : 0));
-  }
-  // Re-check the per-worker slots on every call: ThreadPool(0) resolves its
-  // width to hardware concurrency only at construction, so `threads_` alone
-  // cannot size the slots, and sizing only at first construction left them
-  // permanently undersized for any later, wider pool.
-  if (arenas_.size() < pool_->size()) arenas_.resize(pool_->size());
-  return *pool_;
 }
 
 double RoutingEngine::combine(double cost, double total_latency) const {
@@ -151,31 +145,25 @@ void RoutingEngine::refresh(const Placement& placement) {
     }
   };
   const std::size_t count = to_route_.size();
-  const bool fan_out = count >= 64 && (threads_ == 0 || threads_ > 1);
+  // Small refreshes are not worth the dispatch: one lane runs inline. No
+  // other entry point runs during a refresh, so lane arenas are free.
+  const std::size_t lanes = count >= 64 ? lanes_ : 1;
   // One bind generation for the whole refresh: every worker binds its arena
   // to `placement` once and fast-paths on every later class it routes.
   const std::uint64_t gen = next_bind_gen();
-  if (!fan_out) {
-    SlotLease lease(*this);
-    ScoreContext ctx = lease.context();
-    kernel_.bind(ctx.arena, placement, gen);
-    RouteResult route;
-    for (const int c : to_route_) {
-      route_class(static_cast<std::size_t>(c), ctx, route);
-    }
-  } else {
-    util::ThreadPool& workers = pool();
-    std::vector<RoutingCounters> worker_counters(workers.size());
-    std::vector<RouteResult> worker_routes(workers.size());
-    workers.parallel_for_workers(count, [&](std::size_t worker, std::size_t i) {
-      assert(worker < arenas_.size());
-      ScoreContext ctx{worker_counters[worker], arenas_[worker]};
-      kernel_.bind(ctx.arena, placement, gen);
-      route_class(static_cast<std::size_t>(to_route_[i]), ctx,
-                  worker_routes[worker]);
-    });
-    for (const auto& wc : worker_counters) merge_counters(wc);
-  }
+  std::vector<RoutingCounters> worker_counters(lanes);
+  std::vector<RouteResult> worker_routes(lanes);
+  util::shared_pool().parallel_for_workers(
+      count,
+      [&](std::size_t worker, std::size_t i) {
+        assert(worker < arenas_.size());
+        ScoreContext ctx{worker_counters[worker], arenas_[worker]};
+        kernel_.bind(ctx.arena, placement, gen);
+        route_class(static_cast<std::size_t>(to_route_[i]), ctx,
+                    worker_routes[worker]);
+      },
+      lanes);
+  for (const auto& wc : worker_counters) merge_counters(wc);
   // Fixed-order serial reduction over every class: each class's latency is
   // a pure function of (class, placement), so summing by ascending class
   // index makes the total bit-identical to a full serial refresh at any
@@ -314,27 +302,23 @@ std::vector<double> RoutingEngine::score_candidates(
   // Small batches are not worth the dispatch; the serial path leases a
   // checkout slot like the convenience entry points, so it never aliases a
   // fan-out worker's arena even when called concurrently.
-  const bool fan_out = n >= 8 && (threads_ == 0 || threads_ > 1);
-  if (!fan_out) {
-    {
-      SlotLease lease(*this);
-      ScoreContext ctx = lease.context();
-      for (std::size_t i = 0; i < n; ++i) results[i] = score(i, ctx);
-    }
-    local.score_seconds = timer.elapsed_seconds();
-    merge_counters(local);
-    return results;
+  if (n < 8 || lanes_ == 1) {
+    SlotLease lease(*this);
+    ScoreContext ctx = lease.context();
+    for (std::size_t i = 0; i < n; ++i) results[i] = score(i, ctx);
+  } else {
+    std::vector<RoutingCounters> worker_counters(lanes_);
+    util::shared_pool().parallel_for_workers(
+        n,
+        [&](std::size_t worker, std::size_t i) {
+          assert(worker < arenas_.size());
+          ScoreContext ctx{worker_counters[worker], arenas_[worker]};
+          results[i] = score(i, ctx);
+        },
+        lanes_);
+    // Integer counters are summed, so the merge order cannot change totals.
+    for (const auto& wc : worker_counters) local.merge(wc);
   }
-
-  util::ThreadPool& workers = pool();
-  std::vector<RoutingCounters> worker_counters(workers.size());
-  workers.parallel_for_workers(n, [&](std::size_t worker, std::size_t i) {
-    assert(worker < arenas_.size());
-    ScoreContext ctx{worker_counters[worker], arenas_[worker]};
-    results[i] = score(i, ctx);
-  });
-  // Integer counters are summed, so the merge order cannot change totals.
-  for (const auto& wc : worker_counters) local.merge(wc);
   local.score_seconds = timer.elapsed_seconds();
   merge_counters(local);
   return results;

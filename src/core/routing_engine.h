@@ -28,8 +28,8 @@
 //     entry points, so they are safe to call concurrently with a running
 //     score_candidates dispatch (the tsan job covers the scenario);
 //   - score_candidates(): a deterministic fan-out of independent candidate
-//     scores over util::ThreadPool. Scores are written by candidate index and
-//     every worker computes a pure function of the cache, so the result is
+//     scores over util::shared_pool(). Scores are written by candidate index
+//     and every worker computes a pure function of the cache, so the result is
 //     bit-identical to the serial loop regardless of thread count. refresh()
 //     shards its per-class routing the same way and totalises with a
 //     fixed-order serial reduction, so the cached sum is bit-identical too;
@@ -54,7 +54,6 @@
 
 #include "core/routing.h"
 #include "core/score_kernel.h"
-#include "util/thread_pool.h"
 
 namespace socl::obs {
 class ObsSink;
@@ -91,9 +90,10 @@ struct RoutingCounters {
 
 class RoutingEngine {
  public:
-  /// `threads` sizes the shared pool (0 = hardware concurrency; 1 keeps
-  /// every fan-out on the calling thread). Every class is scored through
-  /// the engine's SoA kernel.
+  /// `threads` caps the engine's fan-outs on util::shared_pool() in lanes,
+  /// the calling thread included (0 = the whole pool, 1 = inline; wider
+  /// than the pool is clamped); the lane arenas are sized to it here, once.
+  /// Every class is scored through the engine's SoA kernel.
   explicit RoutingEngine(const Scenario& scenario, int threads = 0);
 
   // ---- Placement-epoch route cache ----
@@ -164,10 +164,11 @@ class RoutingEngine {
   // ---- Candidate fan-out ----
 
   /// Scores candidates [0, n) with `score(i, ctx)` and returns the scores by
-  /// index. Runs on the shared pool when threads != 1 and n is large enough
-  /// to amortise the dispatch; otherwise inline. The callback must be pure
-  /// (read-only on shared state, writes only through ctx), which makes the
-  /// parallel result bit-identical to the serial one.
+  /// index. Fans out on util::shared_pool(), capped at lanes(), when that is
+  /// above 1 and n is large enough to amortise the dispatch; otherwise
+  /// inline. The callback must be pure (read-only on shared state, writes
+  /// only through ctx), which makes the result bit-identical to the serial
+  /// one.
   std::vector<double> score_candidates(
       std::size_t n,
       const std::function<double(std::size_t, ScoreContext&)>& score);
@@ -180,11 +181,9 @@ class RoutingEngine {
   /// λ·cost + (1-λ)·w·latency — the objective combiner of Eq. (3)/(8).
   double combine(double cost, double total_latency) const;
 
-  /// Shared worker pool (lazily created; per-worker scratch state is
-  /// re-sized to the pool on every call, so it can never be undersized).
-  /// Also used by the combiner's latency-loss stage so pools are not
-  /// re-spawned every round.
-  util::ThreadPool& pool();
+  /// Lanes of the engine's fan-outs: its `threads` clamped to the shared
+  /// pool's width.
+  std::size_t lanes() const { return lanes_; }
 
   const RoutingCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
@@ -233,8 +232,7 @@ class RoutingEngine {
 
   const Scenario* scenario_;
   ScoreKernel kernel_;
-  int threads_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::size_t lanes_;
 
   /// classes_of_[m]: indices of request classes whose chain contains m (each
   /// class once, even when a chain visits m repeatedly). Recomputed by
@@ -256,8 +254,8 @@ class RoutingEngine {
   std::vector<int> to_route_;
   std::vector<std::uint8_t> route_mark_;
 
-  /// Fan-out worker-slot arenas (sized to the pool by pool()); the serial
-  /// paths lease SerialSlots instead, so the two can never alias.
+  /// Fan-out lane arenas, one per lane; the serial paths lease SerialSlots
+  /// instead, so the two can never alias.
   std::vector<ScoreKernel::Arena> arenas_;
   std::vector<std::unique_ptr<SerialSlot>> serial_slots_;
   /// Guards serial_slots_ checkout and counters_ merges.

@@ -174,7 +174,6 @@ class ScoreKernel {
   bool class_route(int c, Arena& arena, KernelStats& stats,
                    RouteResult& out) const;
 
-  std::uint64_t workload_epoch_seen() const { return epoch_seen_; }
   bool delay_tables_enabled() const { return use_tables_; }
   /// Heap footprint of the SoA view plus the delay tables.
   std::size_t soa_bytes() const;

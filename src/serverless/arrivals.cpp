@@ -75,7 +75,7 @@ std::vector<double> arrival_profile(const ArrivalConfig& config) {
 
 std::vector<Arrival> generate_arrivals(int num_users,
                                        const ArrivalConfig& config,
-                                       util::ThreadPool* pool) {
+                                       int threads) {
   if (num_users < 0) {
     throw std::invalid_argument("generate_arrivals: negative user count");
   }
@@ -96,26 +96,25 @@ std::vector<Arrival> generate_arrivals(int num_users,
     }
   }
 
-  std::vector<Arrival> all;
+  // Each block draws into its own vector; joined in user order they are
+  // the serial draw's pre-sort stream.
   constexpr int kBlock = kArrivalBlockUsers;
   const int blocks = num_users / kBlock + (num_users % kBlock != 0 ? 1 : 0);
-  if (pool == nullptr || blocks <= 1) {
-    draw_users(0, num_users, config, bin_len, expected, threshold, all);
-  } else {
-    // Each block draws into its own vector; joined in user order they are
-    // the serial draw's pre-sort stream.
-    std::vector<std::vector<Arrival>> parts(static_cast<std::size_t>(blocks));
-    pool->parallel_for(parts.size(), [&](std::size_t block) {
-      const int begin = static_cast<int>(block) * kBlock;
-      draw_users(begin, begin + std::min(kBlock, num_users - begin), config,
-                 bin_len, expected, threshold, parts[block]);
-    });
-    std::size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    all.reserve(total);
-    for (const auto& part : parts) {
-      all.insert(all.end(), part.begin(), part.end());
-    }
+  std::vector<std::vector<Arrival>> parts(static_cast<std::size_t>(blocks));
+  util::shared_pool().parallel_for(
+      parts.size(),
+      [&](std::size_t block) {
+        const int begin = static_cast<int>(block) * kBlock;
+        draw_users(begin, begin + std::min(kBlock, num_users - begin), config,
+                   bin_len, expected, threshold, parts[block]);
+      },
+      static_cast<std::size_t>(std::max(0, threads)));
+  std::vector<Arrival> all;
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  all.reserve(total);
+  for (const auto& part : parts) {
+    all.insert(all.end(), part.begin(), part.end());
   }
   std::sort(all.begin(), all.end(), [](const Arrival& a, const Arrival& b) {
     if (a.time_s != b.time_s) return a.time_s < b.time_s;

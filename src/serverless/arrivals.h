@@ -18,10 +18,6 @@
 #include <span>
 #include <vector>
 
-namespace socl::util {
-class ThreadPool;
-}
-
 namespace socl::serverless {
 
 /// One request issuance: user `user`'s `seq`-th request of the window.
@@ -45,7 +41,7 @@ struct ArrivalConfig {
   std::uint64_t seed = 1;
 };
 
-/// Users per block of a pooled generate_arrivals: a block's ~160k Knuth
+/// Users per block of generate_arrivals: a block's ~160k Knuth
 /// draws (40 bins) dwarf its dispatch, and a 100k-user population still
 /// spreads over a few dozen blocks. A constant, not a knob: the stream does
 /// not depend on it.
@@ -56,14 +52,13 @@ inline constexpr int kArrivalBlockUsers = 4096;
 std::vector<double> arrival_profile(const ArrivalConfig& config);
 
 /// Deterministic merged arrival stream over `num_users` users, sorted by
-/// (time, user, seq). With a `pool`, users are drawn in fixed-size blocks
-/// on its workers (a single block runs on the caller); the per-user streams
-/// are independent and the sort key is a total order, so the stream is
-/// bit-identical with or without a pool, for any pool size. The pool must
-/// not be the one the caller runs on.
+/// (time, user, seq). Users are drawn in fixed-size blocks on `threads`
+/// lanes of util::shared_pool() (1 = serial, 0 = the whole pool); the
+/// per-user streams are independent and the sort key is a total order, so
+/// the stream is bit-identical for any lane count.
 std::vector<Arrival> generate_arrivals(int num_users,
                                        const ArrivalConfig& config,
-                                       util::ThreadPool* pool = nullptr);
+                                       int threads = 1);
 
 /// Partitions a merged stream into `groups` per-group streams by
 /// `group_of[arrival.user]`, preserving the (time, user, seq) order inside

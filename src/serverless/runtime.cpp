@@ -127,9 +127,8 @@ double RuntimeMetrics::mean_cold_s() const {
 }
 
 ServerlessRuntime::ServerlessRuntime(const core::Scenario& scenario,
-                                     ServerlessConfig config,
-                                     util::ThreadPool* pool)
-    : scenario_(&scenario), config_(config), pool_(pool) {
+                                     ServerlessConfig config)
+    : scenario_(&scenario), config_(config) {
   if (config_.concurrency < 1 || config_.max_containers_per_pool < 1) {
     throw std::invalid_argument(
         "ServerlessRuntime: concurrency and pool capacity must be >= 1");
@@ -249,11 +248,9 @@ RuntimeMetrics ServerlessRuntime::run(
         request.data_out, prev,
         assignment.node_for(request.id, 0));
   };
-  if (pool_ != nullptr && routes.size() > 1) {
-    pool_->parallel_for(routes.size(), build_route);
-  } else {
-    for (std::size_t r = 0; r < routes.size(); ++r) build_route(r);
-  }
+  util::shared_pool().parallel_for(
+      routes.size(), build_route,
+      static_cast<std::size_t>(std::max(0, config_.threads)));
   const auto route_of = [&](const Job& job) -> const UserRoute& {
     return routes[static_cast<std::size_t>(job.route)];
   };

@@ -37,10 +37,6 @@ namespace socl::obs {
 class ObsSink;
 }
 
-namespace socl::util {
-class ThreadPool;
-}
-
 namespace socl::serverless {
 
 struct ServerlessConfig {
@@ -63,12 +59,9 @@ struct ServerlessConfig {
   /// Resolution of the emitted cold-start-rate / pool-utilisation series
   /// (0 disables the series).
   int series_bins = 0;
-  /// Lanes of a serving loop's data-plane pool, the calling thread included
-  /// (1 = serial, no pool; 0 = hardware concurrency), which draws each
-  /// slot's arrival stream and fans out the route-table precompute of the
-  /// runtime it is lent to.
-  /// ServerlessRuntime itself does not read this: it fans out exactly when
-  /// constructed with a pool. Results are bit-identical for any value.
+  /// Lanes of run()'s route tables (and a serving loop's arrival draws) on
+  /// util::shared_pool(), the caller included (1 = serial, 0 = the whole
+  /// pool, wider is clamped). Results are bit-identical for any value.
   int threads = 1;
   /// Observability sink: each run() emits a `serverless.run` span, the
   /// `socl.serverless.*` lifecycle counters, and per-request latency
@@ -136,13 +129,9 @@ struct RuntimeMetrics {
 
 class ServerlessRuntime {
  public:
-  /// `pool`, when non-null, is borrowed (it must outlive the runtime and
-  /// must not be the pool run() is called from): run() fans the pure
-  /// route-table precompute, which covers only the window's arriving users,
-  /// out on it (a window with fewer than two arriving users runs serially).
-  /// Without a pool run() is serial.
-  ServerlessRuntime(const core::Scenario& scenario, ServerlessConfig config,
-                    util::ThreadPool* pool = nullptr);
+  /// run() fans the pure route-table precompute of the window's arriving
+  /// users out on `config.threads` lanes of util::shared_pool().
+  ServerlessRuntime(const core::Scenario& scenario, ServerlessConfig config);
 
   /// Simulates `arrivals` dispatched through `assignment` on the pools of
   /// `placement` under `policy`. `arrivals` must be sorted by non-decreasing
@@ -174,7 +163,6 @@ class ServerlessRuntime {
  private:
   const core::Scenario* scenario_;
   ServerlessConfig config_;
-  util::ThreadPool* pool_;  ///< borrowed; null = serial route tables
 };
 
 }  // namespace socl::serverless

@@ -196,7 +196,7 @@ void ShardedSoCL::solve_all_shards(double price,
   for (const ShardProblem& shard : shards_) {
     out.push_back(empty_solution(shard.scenario()));
   }
-  // Largest-first dispatch: the pool hands out shards in `order`, so the
+  // Largest-first dispatch: the fan-out hands out shards in `order`, so the
   // heaviest shard starts first and a light one cannot leave it running
   // alone at the end of the iterate. Weights are the previous iterate's
   // per-shard solve times when this solve has one, class counts otherwise.
@@ -226,15 +226,9 @@ void ShardedSoCL::solve_all_shards(double price,
     out[s] = core::SoCL(shard_params).solve(shard.scenario());
     solve_s[s] = timer.elapsed_seconds();
   };
-  if (shards == 1) {
-    solve_shard(0);  // nothing to fan out: solve on the caller's thread
-  } else {
-    if (!pool_) {
-      pool_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(
-          params_.threads > 0 ? params_.threads : 0));
-    }
-    pool_->parallel_for(shards, solve_shard);
-  }
+  util::shared_pool().parallel_for(
+      shards, solve_shard,
+      static_cast<std::size_t>(std::max(0, params_.threads)));
   // Every per-shard solve of the price search and the quota fallback,
   // observed on the coordinator thread in shard order (shard_solve_s sees
   // only the accepted iterate's solves).

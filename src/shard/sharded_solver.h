@@ -21,18 +21,16 @@
 // constructor), so step() on it is the warm-start OnlineSoCL controller on
 // the global problem, at no copy: the serving loop's one replan engine.
 // The shards of a multi-shard plan share nothing but the thread-safe
-// observability sink, so their solves fan out over a thread pool.
+// observability sink, so their solves fan out over util::shared_pool().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/online.h"
 #include "core/socl.h"
 #include "shard/shard_plan.h"
-#include "util/thread_pool.h"
 
 namespace socl::obs {
 class ObsSink;
@@ -86,13 +84,13 @@ struct ShardedParams {
   /// 24 covers clearing prices up to ~10^6 with a fine final bracket.
   int max_iterations = 24;
   double initial_step = 0.75;
-  /// Lanes of the shard fan-out, the calling thread included (0 = hardware
-  /// concurrency).
+  /// Lanes of the shard fan-out on util::shared_pool(), the calling thread
+  /// included (0 = the whole pool; wider than the pool is clamped).
   int threads = 0;
   /// Per-shard combination lanes override, the calling thread included
-  /// (0 = keep solver.combination).
-  /// Many-shard sweeps set a small value to bound thread oversubscription;
-  /// results never depend on it (deterministic parallel scoring).
+  /// (0 = keep solver.combination): how many shared-pool lanes each of one
+  /// shard's fan-outs takes. Results never depend on it (deterministic
+  /// parallel scoring).
   int shard_threads = 0;
   /// Incremental serving: a step() re-prices globally when the aggregate
   /// spend drifts from the priced-in spend by more than this fraction of
@@ -179,8 +177,8 @@ class ShardedSoCL {
   /// μ = 0 (λ' = λ bit for bit) and quotas need two shards.
   void set_shard_constants(std::size_t s, double price,
                            const std::vector<double>* quotas);
-  /// Cold-solves every shard at `price` (or under `quotas`), fanning out
-  /// over pool_; results land by shard index.
+  /// Cold-solves every shard at `price` (or under `quotas`) in one fan-out
+  /// on util::shared_pool(); results land by shard index.
   void solve_all_shards(double price, const std::vector<double>* quotas,
                         std::vector<core::Solution>& out,
                         std::vector<double>& solve_s);
@@ -207,9 +205,6 @@ class ShardedSoCL {
   DualState dual_;
   /// Warm serving rungs, one per shard (built by the first solve()).
   std::vector<core::OnlineSoCL> online_rungs_;
-  /// The shard fan-out's pool, built by the first multi-shard fan-out and
-  /// kept for every later price iterate, fallback and re-price.
-  std::unique_ptr<util::ThreadPool> pool_;
 
   /// Serving state: the accepted per-shard solutions (no assignments
   /// between calls) and the frozen coordination signals they were

@@ -107,13 +107,9 @@ std::vector<LatencySample> TestbedEmulator::measure(
     }
   };
 
-  if (config_.threads != 1 && num_users > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(
-        config_.threads > 0 ? config_.threads : 0));
-    pool.parallel_for(num_users, measure_user);
-  } else {
-    for (std::size_t u = 0; u < num_users; ++u) measure_user(u);
-  }
+  util::shared_pool().parallel_for(
+      num_users, measure_user,
+      static_cast<std::size_t>(std::max(0, config_.threads)));
   return samples;
 }
 

@@ -38,8 +38,8 @@ struct TestbedConfig {
   /// The default puts moderately loaded nodes near ~30% utilisation, so
   /// capacity-blind routing that concentrates traffic visibly queues.
   double arrival_rate = 0.03;
-  /// Lanes for measure(), the calling thread included (1 = serial, 0 =
-  /// hardware concurrency).
+  /// Lanes of measure() on util::shared_pool(), the calling thread included
+  /// (1 = serial, 0 = the whole pool; wider than the pool is clamped).
   /// Samples are bit-identical for any value: every user draws jitter from
   /// its own counter-based RNG stream, so the fan-out never reorders draws.
   int threads = 1;

@@ -23,7 +23,6 @@ class RunningStats {
   double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   std::size_t count_ = 0;

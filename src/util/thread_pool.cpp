@@ -97,14 +97,18 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_workers(n, [&fn](std::size_t, std::size_t i) { fn(i); });
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t max_lanes) {
+  parallel_for_workers(
+      n, [&fn](std::size_t, std::size_t i) { fn(i); }, max_lanes);
 }
 
 void ThreadPool::parallel_for_workers(
     std::size_t n,
-    const std::function<void(std::size_t worker, std::size_t i)>& fn) {
-  const std::size_t helpers = n == 0 ? 0 : std::min(n, size()) - 1;
+    const std::function<void(std::size_t worker, std::size_t i)>& fn,
+    std::size_t max_lanes) {
+  const std::size_t cap = max_lanes == 0 ? size() : max_lanes;
+  const std::size_t helpers = n == 0 ? 0 : std::min({n, size(), cap}) - 1;
   if (helpers == 0) {
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
@@ -133,6 +137,11 @@ void ThreadPool::parallel_for_workers(
     });
   }
   if (job.error) std::rethrow_exception(job.error);
+}
+
+ThreadPool& shared_pool() {
+  static ThreadPool pool;
+  return pool;
 }
 
 }  // namespace socl::util

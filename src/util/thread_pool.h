@@ -1,6 +1,6 @@
-// Fan-out pool used by SoCL's parallel large-scale combination stage
-// (Algorithm 3, lines 1-5), the shard fan-out, the serving data plane and
-// benchmark scenario sweeps.
+// The worker pool behind every fan-out: the combination stage (Algorithm 3),
+// candidate scoring, the dense basin, the shard fan-out, the serving data
+// plane and the testbed borrow shared_pool(), each capped at its `threads`.
 #pragma once
 
 #include <condition_variable>
@@ -36,19 +36,23 @@ class ThreadPool {
   /// Lanes, the caller's included: the widest fan-out this pool runs.
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Runs fn(i) for i in [0, n), returning once every iteration has.
-  /// The first exception an iteration throws is rethrown after every
-  /// iteration that had started returns; no lane starts a new one after it.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Runs fn(i) for i in [0, n) on at most `max_lanes` lanes (0 = all of
+  /// size(); a wider cap is clamped to size()), returning once every
+  /// iteration has. The first exception an iteration throws is rethrown
+  /// after every iteration that had started returns; no lane starts a new
+  /// one after it.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t max_lanes = 0);
 
-  /// Like parallel_for, but passes the lane (0 <= worker < min(n, size());
-  /// 0 is the calling thread) running the iteration, so callers can keep
-  /// per-lane scratch state without locking. Within one call a lane never
-  /// runs two iterations concurrently; lanes of different calls (nested or
-  /// concurrent) are independent and may share numbers.
+  /// Like parallel_for, but passes the lane (0 <= worker < min(n,
+  /// max_lanes, size()); 0 is the calling thread) running the iteration, so
+  /// callers can keep per-lane scratch state without locking. Within one
+  /// call a lane never runs two iterations concurrently; lanes of different
+  /// calls (nested or concurrent) are independent and may share numbers.
   void parallel_for_workers(
       std::size_t n,
-      const std::function<void(std::size_t worker, std::size_t i)>& fn);
+      const std::function<void(std::size_t worker, std::size_t i)>& fn,
+      std::size_t max_lanes = 0);
 
  private:
   struct Job;
@@ -70,5 +74,10 @@ class ThreadPool {
   /// Declared last: the workers use every member above.
   std::vector<std::thread> workers_;
 };
+
+/// The process's one pool, one lane per hardware thread, built on first use
+/// and the same object on every call. Every fan-out in src/ runs on it; a
+/// fan-out's `threads` setting is its max_lanes.
+ThreadPool& shared_pool();
 
 }  // namespace socl::util

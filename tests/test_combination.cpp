@@ -432,8 +432,8 @@ TEST(CombinerEstimateCache, RegimeMetricsEmittedWithSink) {
 }
 
 // ---- Dense-basin multi-start: with threads != 1 the basin descends on a
-// helper thread, on its own scoring engine, while the serial stage and the
-// polish run. The golden work counters were recorded with the basin
+// second lane of the shared pool, on its own scoring engine, while the main
+// stages run. The golden work counters were recorded with the basin
 // descending after the polish on the main engine, so a dropped counter fold
 // (or any extra or missing scoring work) fails here. The counters of
 // refresh DP work (routes_computed and the kernel costs, lanes and lookups)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/socl.h"
+#include "util/thread_pool.h"
 
 namespace socl::core {
 namespace {
@@ -314,16 +315,18 @@ TEST(RoutingEngine, WorkloadMutationRescoresLikeFreshEngine) {
   ASSERT_GT(scored, 0) << "scenario lacks a multi-instance service";
 }
 
-// Regression: pool() sized the per-worker scratch slots only when the pool
-// was first constructed, so a threads_ == 0 engine (pool width resolved to
-// hardware concurrency at construction) could leave the slots undersized.
-// Sizing is now re-checked on every pool() call, and the fan-out asserts
-// worker < slots; this must hold for every threads setting.
+// The engine sizes its per-lane scratch arenas once, to its threads clamped
+// to the shared pool's width (0 = the whole pool), and the fan-out asserts
+// lane < arenas; this must hold for every threads setting, a width above
+// the pool's included.
 TEST(RoutingEngine, PoolSizingRobustForAllThreadSettings) {
+  const std::size_t width = util::shared_pool().size();
   for (const int threads : {0, 1, 2, 7}) {
     Fixture fx(18);
     RoutingEngine engine(fx.scenario, threads);
-    EXPECT_GE(engine.pool().size(), 1u) << "threads=" << threads;
+    const auto cap = static_cast<std::size_t>(threads);
+    EXPECT_EQ(engine.lanes(), cap == 0 ? width : std::min(width, cap))
+        << "threads=" << threads;
     engine.refresh(fx.pre.placement);
     const double expected = engine.full_objective(fx.pre.placement);
     const auto scores = engine.score_candidates(

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "serverless/policy.h"
 #include "serverless/runtime.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace socl::serverless {
 namespace {
@@ -195,14 +193,9 @@ TEST(Arrivals, MatchesPerDrawPoissonReference) {
 
 TEST(Arrivals, PooledDrawMatchesReferenceAtBlockEdges) {
   // Block-parallel draws join per-block streams in user order before the
-  // final sort, so the stream must not depend on the pool or on where the
-  // block edges fall.
+  // final sort, so the stream must not depend on the lane count or on where
+  // the block edges fall.
   constexpr int kBlock = kArrivalBlockUsers;
-  std::vector<std::unique_ptr<util::ThreadPool>> pools;
-  for (const int workers : {1, 2, 3}) {
-    pools.push_back(
-        std::make_unique<util::ThreadPool>(static_cast<std::size_t>(workers)));
-  }
   ArrivalConfig serving_day;  // per-bin means around 2e-3: Knuth only
   serving_day.horizon_s = 30.0;
   serving_day.bins = 40;
@@ -222,9 +215,9 @@ TEST(Arrivals, PooledDrawMatchesReferenceAtBlockEdges) {
       SCOPED_TRACE(describe(users, config));
       const auto want = reference_arrivals(users, config);
       expect_bit_equal(generate_arrivals(users, config), want);
-      for (const auto& pool : pools) {
-        SCOPED_TRACE("workers " + std::to_string(pool->size()));
-        expect_bit_equal(generate_arrivals(users, config, pool.get()), want);
+      for (const int threads : {0, 2, 3}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_bit_equal(generate_arrivals(users, config, threads), want);
       }
     }
   }
@@ -256,22 +249,21 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
 
   std::vector<std::vector<EventRecord>> logs;
   std::vector<RuntimeMetrics> runs;
-  const auto run = [&](util::ThreadPool* pool) {
-    const ServerlessRuntime runtime(fx.scenario, config, pool);
+  const auto run = [&](int threads) {
+    config.threads = threads;
+    const ServerlessRuntime runtime(fx.scenario, config);
     std::vector<EventRecord> log;
     runs.push_back(runtime.run(fx.placement, fx.assignment, arrivals,
                                ReactivePolicy(), 77, nullptr, &log));
     logs.push_back(std::move(log));
   };
-  run(nullptr);
-  run(nullptr);
-  // Borrowed pools, as a serving loop lends its long-lived one: each is
-  // reused across runs, and 0 means hardware concurrency.
-  util::ThreadPool four(4);
-  util::ThreadPool hardware(0);
-  run(&four);
-  run(&hardware);
-  run(&four);
+  run(1);
+  run(1);
+  // Fan-outs on the shared pool, which every run reuses; 0 means the whole
+  // pool and 7 is clamped to it.
+  run(4);
+  run(0);
+  run(7);
   for (std::size_t i = 1; i < logs.size(); ++i) {
     EXPECT_EQ(logs[0], logs[i]) << "run " << i;
     ASSERT_EQ(runs[0].requests.size(), runs[i].requests.size());

@@ -4,13 +4,16 @@
 // the class diff's moved/unmoved counts, a per-user ChainRouter/Evaluator
 // oracle on a tiny day, the cross-check lane (kernel re-route equality +
 // validator cleanliness every slot), decision-independence of the demand
-// trace, and the CSV series.
+// trace, the CSV series, and a day that starts no thread of its own.
 #include "serve/serving_loop.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "core/evaluator.h"
 #include "core/routing.h"
 #include "obs/recorder.h"
+#include "util/thread_pool.h"
 
 namespace socl::serve {
 namespace {
@@ -88,7 +92,7 @@ TEST(ServingLoop, DayCompletesWithServingActivity) {
 
 TEST(ServingLoop, DeterministicAcrossRunsAndThreadCounts) {
   // The second day's population spans three arrival blocks, so with
-  // runtime.threads != 1 the loop's own pool draws them in parallel (and
+  // runtime.threads != 1 the shared pool draws them in parallel (and
   // fans out the DES route tables); every slot must match the serial day.
   ServingConfig multi_block = small_config(37);
   multi_block.population = 2 * serverless::kArrivalBlockUsers + 7;
@@ -529,6 +533,52 @@ TEST(ServingLoop, ShardedDaySinkCountsPerShardWorkAcrossThreadCounts) {
   for (const std::int64_t counter : serial) EXPECT_GT(counter, 0);
   EXPECT_EQ(work_counters(2), serial);
 }
+
+#ifdef __linux__
+std::size_t live_threads() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+// Every fan-out of a serving day (the shard fan-out, each shard's scoring
+// and dense basin, the data plane) borrows util::shared_pool(): on a 4-shard
+// chaotic day with every `threads` field at 4, no per-shard solve (counted
+// while its engine is alive) sees more threads than were alive before the
+// day plus the pool's workers, however many solves the day runs.
+TEST(ServingLoop, DayRunsOnlyOnSharedPoolThreads) {
+  const std::size_t before = live_threads();
+  const std::size_t bound = before + util::shared_pool().size() - 1;
+  const auto day = [](int slots) {
+    ServingConfig config = small_config(61);
+    config.scenario.num_nodes = 4;  // per metro
+    config.metros = 4;
+    config.sharded = true;
+    config.slots = slots;
+    config.scenario.constants.budget = 26000.0;
+    config.chaos.enabled = true;
+    config.chaos.node_failure_rate = 0.08;
+    config.online.socl.combination.threads = config.runtime.threads = 4;
+    config.shard.threads = config.shard.shard_threads = 4;
+    std::mutex mutex;
+    std::pair<std::size_t, int> peak_and_solves{0, 0};
+    config.online.socl.post_solve_hook =
+        [&](const core::Scenario&, const core::Solution&, obs::ObsSink*) {
+          const std::size_t alive = live_threads();
+          const std::scoped_lock lock(mutex);
+          peak_and_solves.first = std::max(peak_and_solves.first, alive);
+          ++peak_and_solves.second;
+        };
+    ServingLoop(config).run();
+    return peak_and_solves;
+  };
+  const auto [short_peak, short_solves] = day(2);
+  const auto [long_peak, long_solves] = day(6);
+  EXPECT_GT(long_solves, short_solves);
+  EXPECT_LE(short_peak, bound);
+  EXPECT_EQ(long_peak, short_peak);
+}
+#endif
 
 }  // namespace
 }  // namespace socl::serve

@@ -549,9 +549,9 @@ std::vector<std::uint64_t> bit_pattern(const std::vector<double>& values) {
   return bits;
 }
 
-// The shard fan-out, each solve's scoring pool and its dense-basin helper
-// thread interleave differently at every (threads, shard_threads) pair; the
-// price search must not notice.
+// The shard fan-out and each solve's scoring and dense-basin fan-outs share
+// the pool and interleave differently at every (threads, shard_threads)
+// pair; the price search must not notice.
 TEST(ShardedSoCL, PriceSearchIdenticalAcrossThreadCounts) {
   const MetroFixture fixture(3, 6, 120, /*seed=*/17,
                              workload::eshop_catalog());

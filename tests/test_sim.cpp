@@ -59,7 +59,7 @@ TEST(Testbed, ParallelMeasureBitIdenticalToSerial) {
   TestbedConfig serial_config, parallel_config, hw_config;
   serial_config.threads = 1;
   parallel_config.threads = 3;
-  hw_config.threads = 0;  // hardware concurrency
+  hw_config.threads = 0;  // the whole shared pool
   const TestbedEmulator serial(fx.scenario, serial_config, 5);
   const TestbedEmulator parallel(fx.scenario, parallel_config, 5);
   const TestbedEmulator hw(fx.scenario, hw_config, 5);

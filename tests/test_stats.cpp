@@ -33,7 +33,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_DOUBLE_EQ(stats.min(), 2.0);
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
 }
 
 TEST(Percentile, MedianOfOddCount) {

@@ -1,12 +1,14 @@
-// Tests for the fan-out pool used by the parallel combination stage, the
-// shard fan-out and the serving data plane.
+// Tests for the fan-out pool behind every fan-out of the program, and the
+// process-wide shared_pool() they borrow.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -34,6 +36,9 @@ TEST(ThreadPool, ParallelForRunsTheTask) {
 TEST(ThreadPool, DefaultsToAtLeastOneLane) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+  // shared_pool() is one default pool, the same object on every call.
+  EXPECT_EQ(&shared_pool(), &shared_pool());
+  EXPECT_EQ(shared_pool().size(), pool.size());
 }
 
 TEST(ThreadPool, ManyFanOutsAllComplete) {
@@ -91,12 +96,9 @@ TEST(ThreadPool, ParallelForComputesCorrectSum) {
 
 #ifdef __linux__
 std::size_t live_threads() {
-  std::size_t count = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
 }
 
 TEST(ThreadPool, StartsOneThreadFewerThanLanes) {
@@ -144,19 +146,25 @@ TEST(ThreadPool, WorkerSlotsStayBelowSizeAndNeverOverlap) {
   std::atomic<int> out_of_range{0};
   const auto caller = std::this_thread::get_id();
   std::atomic<int> caller_not_lane0{0};
-  for (const std::size_t n : {2u, 3u, 200u}) {
-    pool.parallel_for_workers(n, [&](std::size_t worker, std::size_t) {
-      if (worker >= std::min(n, pool.size())) {
-        ++out_of_range;
-        return;
-      }
-      if ((std::this_thread::get_id() == caller) != (worker == 0)) {
-        ++caller_not_lane0;
-      }
-      if (busy[worker].exchange(1) != 0) ++overlaps;
-      std::this_thread::sleep_for(50us);
-      busy[worker].store(0);
-    });
+  // max_lanes 0 means the whole pool; 9 is clamped to it.
+  for (const std::size_t max_lanes : {0u, 1u, 2u, 3u, 9u}) {
+    for (const std::size_t n : {2u, 3u, 200u}) {
+      const std::size_t lanes = std::min(
+          {n, pool.size(), max_lanes == 0 ? pool.size() : max_lanes});
+      const auto body = [&](std::size_t worker, std::size_t) {
+        if (worker >= lanes) {
+          ++out_of_range;
+          return;
+        }
+        if ((std::this_thread::get_id() == caller) != (worker == 0)) {
+          ++caller_not_lane0;
+        }
+        if (busy[worker].exchange(1) != 0) ++overlaps;
+        std::this_thread::sleep_for(50us);
+        busy[worker].store(0);
+      };
+      pool.parallel_for_workers(n, body, max_lanes);
+    }
   }
   EXPECT_EQ(out_of_range.load(), 0);
   EXPECT_EQ(overlaps.load(), 0);
